@@ -244,7 +244,8 @@ def lexicographic_cps(game, player, order):
     its conditioning event. Valid for every ordering of all opponent combos."""
     sp = space_for(game, player)
     seen = list(order)
-    rest = [t for t in range(len(sp.combos)) if t not in set(seen)]
+    taken = set(seen)
+    rest = [t for t in range(len(sp.combos)) if t not in taken]
     full = seen + rest
     table = {}
     for h in sp.infosets:
@@ -531,33 +532,69 @@ class _Bundle:
         return True
 
 
-def _point_candidates(space, bundles):
-    """Orderings for the lexicographic fast path, most promising first."""
+def _merged(space, bundles):
+    """One bundle holding every obligation of the given ones (no pins).
+
+    A single system satisfies the merge iff it satisfies each bundle, so it
+    can serve every slot at once."""
+    merged = _Bundle(space)
+    for b in bundles:
+        for gi, ts in b.allowed.items():
+            cur = merged.allowed.get(gi)
+            merged.allowed[gi] = set(ts) if cur is None else (cur & ts)
+        for gi, rws in b.rows.items():
+            merged.rows.setdefault(gi, []).extend(rws)
+        for gi, diffs in b.rationality.items():
+            merged.rationality.setdefault(gi, []).extend(diffs)
+    return merged
+
+
+def _point_witness(space, bundle):
+    """A lexicographic point system satisfying the bundle, or None.
+
+    Orderings are tried most promising first: combos allowed by more groups
+    lead."""
     n = len(space.combos)
     score = [0] * n
-    for b in bundles:
-        for ts in b.allowed.values():
-            for t in ts:
-                score[t] += 1
+    for ts in bundle.allowed.values():
+        for t in ts:
+            score[t] += 1
     base = sorted(range(n), key=lambda t: (-score[t], t))
     for t0 in base:
-        yield [t0] + [t for t in base if t != t0]
+        order = [t0] + [t for t in base if t != t0]
+        table = {}
+        for g in space.groups:
+            first = next(t for t in order if t in g.event)
+            for h in g.infosets:
+                table[h] = {first: ONE}
+        cps = ConditionalBeliefs(space, table)
+        if bundle.satisfied_by(cps):
+            return cps
+    return None
 
 
-def _try_point(space, bundles, order):
-    """Evaluate one lexicographic candidate against all bundles at once."""
-    table = {}
-    for g in space.groups:
-        first = next(t for t in order if t in g.event)
-        for h in g.infosets:
-            table[h] = {first: ONE}
-    cps = ConditionalBeliefs(space, table)
+def _admissible(game, player, bundles, shared=frozenset()):
+    """The query pipeline behind every public query: one system per bundle
+    (slot), equal on the shared groups, or None when none exists.
+
+    Steps: an empty allowed set refutes at once; then a lexicographic point
+    system satisfying every bundle serves all slots, unless some bundle pins
+    conditionals; then the exact pattern search, whose answer is verified.
+    """
+    space = space_for(game, player)
     for b in bundles:
-        if b.point:
+        if not all(b.allowed.values()):
             return None
-        if not b.satisfied_by(cps):
-            return None
-    return cps
+    if not any(b.point for b in bundles):
+        merged = _merged(space, bundles)
+        if all(merged.allowed.values()):
+            cps = _point_witness(space, merged)
+            if cps is not None:
+                return [cps] * len(bundles)
+    found = _solve_patterns(space, bundles, shared)
+    if found is not None:
+        _verify(game, player, bundles, shared, found)
+    return found
 
 
 def _solve_patterns(space, bundles, shared):
@@ -818,32 +855,15 @@ def exists_admissible_cps(game, player, strategy, mandates=(), restrictions=None
     Raises EmptyPolytope when some infoset's clauses alone are unsatisfiable;
     that is a property of the restrictions, not of the strategy.
     """
-    sp = space_for(game, player)
     clauses = _clause_map(game, player, restrictions)
-    if clauses:
-        empty = empty_restriction_infosets(game, player, clauses)
-        if empty:
-            raise EmptyPolytope(player, empty[0])
-
-    bundle = _Bundle(sp)
+    bundle = _Bundle(space_for(game, player))
     bundle.add_mandates(mandates)
-    if clauses:
-        bundle.add_clauses(clauses)
+    bundle.add_clauses(clauses)
     bundle.add_rationality(strategy.index)
-
-    for ts in bundle.allowed.values():
-        if not ts:
-            return None
-
-    for order in _point_candidates(sp, [bundle]):
-        cps = _try_point(sp, [bundle], order)
-        if cps is not None:
-            return cps
-
-    found = _solve_patterns(sp, [bundle], frozenset())
+    found = _admissible(game, player, [bundle])
     if found is None:
+        _raise_if_empty(game, player, clauses)
         return None
-    _verify(game, player, [bundle], frozenset(), found)
     return found[0]
 
 
@@ -853,6 +873,15 @@ def _clause_map(game, player, restrictions):
     if hasattr(restrictions, "clauses_for"):
         return restrictions.clauses_for(player)
     return restrictions
+
+
+def _raise_if_empty(game, player, clauses):
+    """Raise EmptyPolytope for the first infoset whose clauses admit no
+    distribution. Checked only after a query fails: any witness satisfies
+    every clause, so an empty polytope cannot coexist with one."""
+    empty = empty_restriction_infosets(game, player, clauses)
+    if empty:
+        raise EmptyPolytope(player, empty[0])
 
 
 def coupled_admissible_pair(
@@ -869,10 +898,6 @@ def coupled_admissible_pair(
     polytopes and its own mandates. Returns (mu, bar) or None."""
     sp = space_for(game, player)
     clauses = _clause_map(game, player, bar_restrictions)
-    if clauses:
-        empty = empty_restriction_infosets(game, player, clauses)
-        if empty:
-            raise EmptyPolytope(player, empty[0])
 
     mu = _Bundle(sp)
     mu.add_mandates(mu_mandates)
@@ -880,35 +905,13 @@ def coupled_admissible_pair(
 
     bar = _Bundle(sp)
     bar.add_mandates(bar_mandates)
-    if clauses:
-        bar.add_clauses(clauses)
-
-    for b in (mu, bar):
-        for ts in b.allowed.values():
-            if not ts:
-                return None
+    bar.add_clauses(clauses)
 
     shared = frozenset(sp.group_of[h] for h in agreement_infosets)
-
-    # Fast path: one system satisfying both sides serves as mu = bar.
-    merged = _Bundle(sp)
-    merged.allowed = dict(mu.allowed)
-    for gi, ts in bar.allowed.items():
-        cur = merged.allowed.get(gi)
-        merged.allowed[gi] = set(ts) if cur is None else (cur & ts)
-    merged.rows = {gi: list(r) for gi, r in bar.rows.items()}
-    merged.rationality = mu.rationality
-    merged.strategy_index = mu.strategy_index
-    if all(ts for ts in merged.allowed.values()):
-        for order in _point_candidates(sp, [merged]):
-            cps = _try_point(sp, [merged], order)
-            if cps is not None:
-                return cps, cps
-
-    found = _solve_patterns(sp, [mu, bar], shared)
+    found = _admissible(game, player, [mu, bar], shared)
     if found is None:
+        _raise_if_empty(game, player, clauses)
         return None
-    _verify(game, player, [mu, bar], shared, found)
     return found[0], found[1]
 
 
@@ -921,11 +924,7 @@ def cps_in_agreement_closure(
     clauses = _clause_map(game, player, bar_restrictions)
     bar = _Bundle(sp)
     bar.add_mandates(bar_mandates)
-    if clauses:
-        bar.add_clauses(clauses)
-    for ts in bar.allowed.values():
-        if not ts:
-            return False
+    bar.add_clauses(clauses)
     seen = set()
     for h in agreement_infosets:
         gi = sp.group_of[h]
@@ -933,9 +932,4 @@ def cps_in_agreement_closure(
             continue
         seen.add(gi)
         bar.add_point(h, cps.table[h])
-    shared = frozenset()
-    found = _solve_patterns(sp, [bar], shared)
-    if found is None:
-        return False
-    _verify(game, player, [bar], shared, found)
-    return True
+    return _admissible(game, player, [bar]) is not None

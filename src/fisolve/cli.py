@@ -14,13 +14,10 @@ Exit codes: 0 solved or compared (an empty solution set is still a result),
 1 a stability scenario has failing checks, 2 unreadable or unparseable
 input, 3 the game or belief structure is rejected, 4 a procedure
 precondition fails, 5 the independent grid search contradicts the engine.
-
-FISOLVE_WORKERS sets the number of query threads (default 1).
 """
 
 import argparse
 import json
-import os
 import sys
 
 from . import beliefs, dsl, oracle, solvers, stability
@@ -89,13 +86,6 @@ def _build_parser():
 def _read(path):
     with open(path, "r") as fh:
         return fh.read()
-
-
-def _workers():
-    try:
-        return max(1, int(os.environ.get("FISOLVE_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def _frac(x):
@@ -169,30 +159,22 @@ def _dispatch(args, compare_names):
 
 def _solve(name, game, delta, args):
     explain = not args.no_explain
-    workers = _workers()
     if name == "rationalizability":
         return solvers.rationalizability(
-            game, correlated=args.correlated, explain=explain, workers=workers
+            game, correlated=args.correlated, explain=explain
         )
     if name == "strong-delta":
-        return solvers.strong_delta_rationalizability(
-            game, delta, explain=explain, workers=workers
-        )
+        return solvers.strong_delta_rationalizability(game, delta, explain=explain)
     if name == "selective":
-        return solvers.selective_rationalizability(
-            game, delta, explain=explain, workers=workers
-        )
+        return solvers.selective_rationalizability(game, delta, explain=explain)
     if name == "no-s3":
-        return solvers.solve_without_s3(
-            game, delta, explain=explain, workers=workers
-        )
+        return solvers.solve_without_s3(game, delta, explain=explain)
     spec = solvers.ProcedureSpec(
         game,
         "generalized",
         restrictions=delta,
         correlated=args.correlated,
         explain=explain,
-        workers=workers,
     )
     return solvers.generalized_solve(spec)
 

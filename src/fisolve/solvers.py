@@ -37,7 +37,11 @@ class PreconditionViolated(Exception):
 
 
 class ProcedureSpec:
-    """What the kernel needs: start sets, restrictions, gate, toggles."""
+    """What the kernel needs: start sets, restrictions, gate, toggles.
+
+    workers is accepted for compatibility with existing callers and ignored:
+    every query runs in the calling thread.
+    """
 
     def __init__(
         self,
@@ -61,7 +65,6 @@ class ProcedureSpec:
         self.correlated = correlated
         self.explain = explain
         self.base = base
-        self.workers = max(1, int(workers))
 
 
 class SolveTrace:
@@ -153,7 +156,6 @@ def generalized_solve(spec):
 
     dead = {}
     restrictions = spec.restrictions
-    implicit = isinstance(restrictions, ImplicitRestrictions)
     for player in game.players:
         clauses = _declared(game, player, restrictions)
         if not clauses:
@@ -172,25 +174,6 @@ def generalized_solve(spec):
     }
     memo = {}
     limit = 1 + sum(len(game.strategies(p)) for p in game.players)
-    pool = None
-    if spec.workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        for player in game.players:
-            beliefs.space_for(game, player)
-        pool = ThreadPoolExecutor(max_workers=spec.workers)
-
-    try:
-        _solve_rounds(spec, trace, gate, memo, limit, dead, pool)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    return trace
-
-
-def _solve_rounds(spec, trace, gate, memo, limit, dead, pool):
-    game = spec.game
-    restrictions = spec.restrictions
     for n in range(1, limit + 1):
         prev = trace.rounds[-1]
         history = [
@@ -208,37 +191,16 @@ def _solve_rounds(spec, trace, gate, memo, limit, dead, pool):
                 continue
             mandates = _round_mandates(game, player, history, spec.correlated)
             mandates.extend(gate[player])
-            mkey = tuple(sorted(it.key() for it in mandates))
-            candidates = []
+            keep = []
             for s in prev.strategies(player):
                 if spec.membership is not None and s.index not in spec.membership[player]:
                     elim[(player, s.name)] = "not in the base fixed point"
                     continue
-                candidates.append(s)
-            misses = [
-                s for s in candidates if (player, s.index, mkey) not in memo
-            ]
-            if pool is not None and len(misses) > 1:
-                results = list(
-                    pool.map(
-                        lambda s: _query(game, player, s, mandates, restrictions),
-                        misses,
-                    )
-                )
-            else:
-                results = [
-                    _query(game, player, s, mandates, restrictions)
-                    for s in misses
-                ]
-            for s, witness in zip(misses, results):
-                memo[(player, s.index, mkey)] = witness
-            keep = []
-            for s in candidates:
-                witness = memo[(player, s.index, mkey)]
+                witness = _query(memo, game, player, s, mandates, restrictions)
                 if witness is None:
                     if spec.explain:
                         elim[(player, s.name)] = _explain(
-                            game, player, s, mandates, restrictions
+                            memo, game, player, s, mandates, restrictions
                         )
                     else:
                         elim[(player, s.name)] = "no admissible belief system"
@@ -256,6 +218,7 @@ def _solve_rounds(spec, trace, gate, memo, limit, dead, pool):
             break
     else:
         raise AssertionError("no fixed point within %d rounds" % limit)
+    return trace
 
 
 def _declared(game, player, restrictions):
@@ -266,7 +229,21 @@ def _declared(game, player, restrictions):
     return restrictions.clauses_for(player)
 
 
-def _query(game, player, strategy, mandates, restrictions):
+def _query(memo, game, player, strategy, mandates, restrictions):
+    """One admissibility decision, asked at most once per solve.
+
+    The answer depends on the mandates only through their set of keys, and
+    within one solve the restrictions are either the spec's or None (asked
+    by _explain), so those make the memo key.
+    """
+    key = (
+        player,
+        strategy.index,
+        frozenset(it.key() for it in mandates),
+        restrictions is None,
+    )
+    if key in memo:
+        return memo[key]
     if isinstance(restrictions, ImplicitRestrictions):
         pair = beliefs.coupled_admissible_pair(
             game,
@@ -277,41 +254,44 @@ def _query(game, player, strategy, mandates, restrictions):
             restrictions.delta.clauses_for(player),
             restrictions.agreement[player],
         )
-        return None if pair is None else pair[0]
-    return beliefs.exists_admissible_cps(
-        game, player, strategy, mandates, restrictions
-    )
+        witness = None if pair is None else pair[0]
+    else:
+        witness = beliefs.exists_admissible_cps(
+            game, player, strategy, mandates, restrictions
+        )
+    memo[key] = witness
+    return witness
 
 
-def _explain(game, player, strategy, mandates, restrictions):
+def _explain(memo, game, player, strategy, mandates, restrictions):
     """Name an obligation whose removal restores feasibility, if one exists."""
     for k in range(len(mandates)):
         rest = mandates[:k] + mandates[k + 1 :]
-        if _query(game, player, strategy, rest, restrictions) is not None:
+        if _query(memo, game, player, strategy, rest, restrictions) is not None:
             return "blocked by obligation: %s" % mandates[k].label
     if restrictions is not None:
-        if _query(game, player, strategy, mandates, None) is not None:
+        if _query(memo, game, player, strategy, mandates, None) is not None:
             if isinstance(restrictions, ImplicitRestrictions):
                 return "blocked by the restriction closure"
             return "blocked by the belief restrictions"
-    if _query(game, player, strategy, (), None) is None:
+    if _query(memo, game, player, strategy, (), None) is None:
         return "no belief system makes this strategy sequentially optimal"
     return "jointly blocked by the obligations and restrictions"
 
 
+# The procedures below accept workers=1 for compatibility with existing
+# callers and ignore it, like ProcedureSpec.
+
+
 def rationalizability(game, correlated=False, explain=EXPLAIN_DEFAULT, workers=1):
     spec = ProcedureSpec(
-        game, "rationalizability", correlated=correlated, explain=explain,
-        workers=workers,
+        game, "rationalizability", correlated=correlated, explain=explain
     )
     return generalized_solve(spec)
 
 
 def strong_delta_rationalizability(game, delta, explain=EXPLAIN_DEFAULT, workers=1):
-    spec = ProcedureSpec(
-        game, "strong-delta", restrictions=delta, explain=explain,
-        workers=workers,
-    )
+    spec = ProcedureSpec(game, "strong-delta", restrictions=delta, explain=explain)
     return generalized_solve(spec)
 
 
@@ -319,7 +299,7 @@ def selective_rationalizability(
     game, delta, base=None, explain=EXPLAIN_DEFAULT, workers=1
 ):
     if base is None:
-        base = rationalizability(game, explain=explain, workers=workers)
+        base = rationalizability(game, explain=explain)
     gate_rounds = [
         {p: r.strategies(p) for p in game.players} for r in base.rounds
     ]
@@ -331,7 +311,6 @@ def selective_rationalizability(
         gate_rounds=gate_rounds,
         explain=explain,
         base=base,
-        workers=workers,
     )
     return generalized_solve(spec)
 
@@ -354,7 +333,7 @@ def is_rationalizable_restriction(game, delta, base=None):
 
 def solve_without_s3(game, delta, base=None, explain=EXPLAIN_DEFAULT, workers=1):
     if base is None:
-        base = rationalizability(game, explain=explain, workers=workers)
+        base = rationalizability(game, explain=explain)
     if not is_rationalizable_restriction(game, delta, base):
         raise PreconditionViolated(
             "restriction profile binds at infosets dead under the base fixed point"
@@ -371,7 +350,6 @@ def solve_without_s3(game, delta, base=None, explain=EXPLAIN_DEFAULT, workers=1)
         membership=membership,
         explain=explain,
         base=base,
-        workers=workers,
     )
     return generalized_solve(spec)
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from fisolve import beliefs, dsl
+from fisolve import beliefs, dsl, lp
 
 
 # A game whose conditioning events do not form a forest under inclusion:
@@ -253,6 +253,24 @@ def test_witness_respects_restrictions(bribe, bribe_delta):
         )
         is None
     )
+
+
+def test_point_path_query_solves_no_lp(bribe, bribe_delta, monkeypatch):
+    """The empty-polytope check runs only when a query fails, so a
+    restricted query that a point system settles runs no LP at all."""
+    calls = []
+    solve = lp.solve
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve", counting)
+    cps = beliefs.exists_admissible_cps(
+        bribe, "Ann", strat(bribe, "Ann", "N.P"), (), bribe_delta
+    )
+    assert cps is not None
+    assert calls == []
 
 
 def test_bribe_threshold_is_exact(bribe):

@@ -77,19 +77,6 @@ def test_structured_output_is_byte_stable(capsys):
     assert doc["base"]["procedure"] == "rationalizability"
 
 
-def test_workers_env_does_not_change_output(capsys, monkeypatch):
-    argv = (
-        "--game", CLEO,
-        "--procedure", "selective",
-        "--restrictions", CLEO_NW,
-        "--format", "structured",
-    )
-    _, serial, _ = run(capsys, *argv)
-    monkeypatch.setenv("FISOLVE_WORKERS", "3")
-    _, pooled, _ = run(capsys, *argv)
-    assert pooled == serial
-
-
 def test_compare_selective_with_membership_variant(capsys):
     code, out, _ = run(
         capsys,

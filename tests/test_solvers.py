@@ -6,7 +6,7 @@ were derived by hand from the payoff tables before being asserted here.
 
 import pytest
 
-from fisolve import beliefs, dsl, solvers
+from fisolve import beliefs, dsl, randgen, solvers
 
 
 def names(pset, player):
@@ -248,25 +248,36 @@ def test_correlated_never_smaller(cleo, cleo_nw, cleo_base):
         assert ind_set <= cor_set
 
 
-def test_worker_pool_same_answers(cleo, cleo_nw, cleo_base):
-    spec = solvers.ProcedureSpec(
-        cleo,
-        "selective",
-        start=cleo_base.survivors,
-        restrictions=cleo_nw,
-        gate_rounds=[
-            {p: r.strategies(p) for p in cleo.players} for r in cleo_base.rounds
-        ],
-        base=cleo_base,
-        workers=3,
-    )
-    pooled = solvers.generalized_solve(spec)
-    serial = solvers.selective_rationalizability(cleo, cleo_nw, base=cleo_base)
-    assert pooled.rounds == serial.rounds
-    assert pooled.fixed_point_round == serial.fixed_point_round
-
-
 def test_explain_off_generic_reason(bribe):
     tr = solvers.rationalizability(bribe, explain=False)
     assert tr.eliminated[1][("Ann", "B.P")] == "no admissible belief system"
     assert tr.survivors == solvers.rationalizability(bribe).survivors
+    # Explanations share the solve's memo; they must not change its answers.
+    game = randgen.random_game(1)
+    off = solvers.rationalizability(game, explain=False)
+    on = solvers.rationalizability(game)
+    assert off.eliminated
+    assert on.rounds == off.rounds
+    assert {k: w.table for k, w in on.witnesses.items()} == {
+        k: w.table for k, w in off.witnesses.items()
+    }
+
+
+def test_no_query_is_asked_twice(bribe, monkeypatch):
+    asked = []
+    query = beliefs.exists_admissible_cps
+
+    def recording(game, player, strategy, mandates=(), restrictions=None):
+        asked.append((
+            player,
+            strategy.index,
+            frozenset(it.key() for it in mandates),
+            restrictions is None,
+        ))
+        return query(game, player, strategy, mandates, restrictions)
+
+    monkeypatch.setattr(beliefs, "exists_admissible_cps", recording)
+    tr = solvers.rationalizability(bribe, explain=True)
+    assert tr.eliminated
+    assert asked
+    assert len(asked) == len(set(asked))
