@@ -14,9 +14,13 @@ strict inclusion. Along each forest edge the child's conditional either
 inherits from the parent by Bayes rule (positive mass on the child event) or
 the parent assigns the child event zero mass and the child restarts freely.
 Fixing one choice per edge makes every requirement linear after clearing
-denominators, so each pattern is one exact rational LP; a strictly positive
-max-slack certifies the pattern and yields an exact witness. Patterns are
-few because the forests of real games are shallow.
+denominators, so each pattern is one LP over rationals that maximizes a
+slack. Float proposes, rational checks (`lp.positive_max`): a pattern is
+refuted only by a float dual certificate that passed an exact rational
+check, and a strictly positive max-slack is confirmed by the exact simplex,
+whose solution is the witness. Patterns are few because the forests of real
+games are shallow. Before any LP, a query tries the lexicographic point
+systems, which settle most kept strategies by set lookups alone.
 
 The same machinery answers a coupled query used when restrictions are given
 implicitly as "agrees on a set of events with some member of a smaller CPS
@@ -134,6 +138,7 @@ class BeliefSpace:
         self.own = game.strategies(player)
         self._payoff = {}
         self._pi = game.players.index(player)
+        self._rationality = {}
 
     def payoff(self, own_index, t):
         """u_i of the profile (own strategy, opponent combo t)."""
@@ -147,6 +152,29 @@ class BeliefSpace:
             v = leaf.payoffs[self._pi]
             self._payoff[key] = v
         return v
+
+    def rationality_rows(self, own_index):
+        """(group index, diff) for every own infoset the strategy reaches and
+        every alternative there, where diff[t] = u(own, t) - u(alt, t) over
+        the infoset's event, nonzero entries only. Cached; callers must not
+        mutate the diffs."""
+        rows = self._rationality.get(own_index)
+        if rows is None:
+            rows = []
+            for h in self.infosets:
+                if own_index not in self.reach[h]:
+                    continue
+                for alt in sorted(self.reach[h]):
+                    if alt == own_index:
+                        continue
+                    diff = {}
+                    for t in self.event[h]:
+                        d = self.payoff(own_index, t) - self.payoff(alt, t)
+                        if d:
+                            diff[t] = d
+                    rows.append((self.group_of[h], diff))
+            self._rationality[own_index] = rows
+        return rows
 
     def combo_label(self, t):
         return ",".join(
@@ -481,21 +509,9 @@ class _Bundle:
         return None
 
     def add_rationality(self, strategy_index):
-        sp = self.space
         self.strategy_index = strategy_index
-        for h in sp.infosets:
-            if strategy_index not in sp.reach[h]:
-                continue
-            gi = sp.group_of[h]
-            for alt in sorted(sp.reach[h]):
-                if alt == strategy_index:
-                    continue
-                diff = {}
-                for t in sp.event[h]:
-                    d = sp.payoff(strategy_index, t) - sp.payoff(alt, t)
-                    if d:
-                        diff[t] = d
-                self.rationality.setdefault(gi, []).append(diff)
+        for gi, diff in self.space.rationality_rows(strategy_index):
+            self.rationality.setdefault(gi, []).append(diff)
 
     def add_point(self, infoset, conditional):
         gi = self.space.group_of[infoset]
@@ -512,11 +528,7 @@ class _Bundle:
             h = sp.groups[gi].infosets[0]
             for coefs, op, rhs in rows:
                 val = sum((cps.prob(h, t) * c for t, c in coefs.items()), ZERO)
-                if op == lp.LE and val > rhs:
-                    return False
-                if op == lp.GE and val < rhs:
-                    return False
-                if op == lp.EQ and val != rhs:
+                if not _holds(val, op, rhs):
                     return False
         for gi, diffs in self.rationality.items():
             h = sp.groups[gi].infosets[0]
@@ -530,6 +542,14 @@ class _Bundle:
                 if cps.prob(h, t) != pinned.get(t, ZERO):
                     return False
         return True
+
+
+def _holds(val, op, rhs):
+    if op == lp.LE:
+        return val <= rhs
+    if op == lp.GE:
+        return val >= rhs
+    return val == rhs
 
 
 def _merged(space, bundles):
@@ -550,27 +570,47 @@ def _merged(space, bundles):
 
 
 def _point_witness(space, bundle):
-    """A lexicographic point system satisfying the bundle, or None.
+    """A lexicographic point system satisfying the bundle (which pins no
+    conditional), or None.
 
     Orderings are tried most promising first: combos allowed by more groups
-    lead."""
+    lead. The ordering led by t0 puts each group's mass on t0 when t0 is in
+    its event, else on the group's first combo in the base ordering; so it
+    passes iff each of those points is good for its group."""
     n = len(space.combos)
     score = [0] * n
     for ts in bundle.allowed.values():
         for t in ts:
             score[t] += 1
     base = sorted(range(n), key=lambda t: (-score[t], t))
+    checks = []
+    for g in space.groups:
+        first = next(t for t in base if t in g.event)
+        good = _good_points(bundle, g)
+        checks.append((g, first, good, first in good))
     for t0 in base:
-        order = [t0] + [t for t in base if t != t0]
-        table = {}
-        for g in space.groups:
-            first = next(t for t in order if t in g.event)
-            for h in g.infosets:
-                table[h] = {first: ONE}
-        cps = ConditionalBeliefs(space, table)
-        if bundle.satisfied_by(cps):
-            return cps
+        if all(t0 in good if t0 in g.event else first_ok
+               for g, _first, good, first_ok in checks):
+            table = {}
+            for g, first, _good, _ok in checks:
+                point = {t0 if t0 in g.event else first: ONE}
+                for h in g.infosets:
+                    table[h] = point
+            return ConditionalBeliefs(space, table)
     return None
+
+
+def _good_points(bundle, g):
+    """The combos t of group g's event at which mass 1 on t meets every
+    obligation of the bundle on g: the allowed set, the clause rows and
+    the rationality rows."""
+    allowed = bundle.allowed.get(g.index)
+    good = set(g.event if allowed is None else g.event & allowed)
+    for diff in bundle.rationality.get(g.index, ()):
+        good.difference_update([t for t, d in diff.items() if d < 0])
+    for coefs, op, rhs in bundle.rows.get(g.index, ()):
+        good = {t for t in good if _holds(coefs.get(t, ZERO), op, rhs)}
+    return good
 
 
 def _admissible(game, player, bundles, shared=frozenset()):
@@ -805,8 +845,8 @@ def _solve_one(space, bundles, block_of, fresh, zero_rows, eps_rows):
                 if r:
                     rows.append((r, lp.EQ, ZERO))
 
-    res = lp.solve(ncols, {eps: ONE}, rows)
-    if res.status != "optimal" or res.value <= 0:
+    x = lp.positive_max(ncols, {eps: ONE}, rows)
+    if x is None:
         return None
 
     out = []
@@ -817,8 +857,8 @@ def _solve_one(space, bundles, block_of, fresh, zero_rows, eps_rows):
             vals = {}
             for t in g.csorted:
                 col = term(key, t)
-                if col is not None and res.x[col]:
-                    vals[t] = res.x[col]
+                if col is not None and x[col]:
+                    vals[t] = x[col]
             mass = sum(vals.values(), ZERO)
             conditional = {t: v / mass for t, v in vals.items()}
             for h in g.infosets:

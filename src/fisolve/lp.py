@@ -1,14 +1,24 @@
-"""Exact linear programming over rationals.
+"""Exact linear programming over rationals: float proposes, rational checks.
 
-Small dense two-phase simplex used by the belief-feasibility engine. All
-coefficients are `fractions.Fraction`; every certificate it returns is exact,
-which is what lets the solvers freeze witnesses into reports without rounding.
+The belief-feasibility engine asks one question per pattern: is the maximum
+of c.x positive? `positive_max` answers it. HiGHS (through
+`scipy.optimize.linprog`) solves the dual in floating point; the proposed
+dual vector is rounded to rationals and checked exactly. A check that passes
+proves that no feasible x has c.x > 0 (or that there is no feasible x), so
+the refutation is exact although a float solver found it. Every other case
+(a positive float optimum, a HiGHS failure, a failed check, a program too
+small to repay a HiGHS call) runs the two-phase simplex in `solve`, whose
+arithmetic is all `fractions.Fraction`; it builds every witness the solvers
+report, so witnesses are frozen into reports without rounding.
 
 Variables are implicitly nonnegative (every caller's unknowns are probability
 masses or slack-like quantities). Constraints may be <=, >= or ==.
 """
 
 from fractions import Fraction
+
+import numpy as np
+from scipy.optimize import linprog
 
 LE = "<="
 GE = ">="
@@ -18,6 +28,25 @@ _OPS = (LE, GE, EQ)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# Sign bounds of a dual variable, by the op of its primal row.
+_DUAL_BOUNDS = {LE: (0, None), GE: (None, 0), EQ: (None, None)}
+# A float dual optimum above this is taken as a positive maximum.
+_POSITIVE = 1e-9
+# Below this many tableau entries (variables x rows) the sparse exact simplex
+# is cheaper than one linprog call, whose fixed cost is about 2 ms.
+_FLOAT_MIN_SIZE = 200
+
+# How `positive_max` settled its calls: a checked dual certificate
+# ("certified"), or the exact simplex after a positive float optimum
+# ("positive"), after a HiGHS failure or a failed check ("fallback"), or
+# without a float proposal because the program is small ("small").
+COUNTS = dict.fromkeys(("certified", "positive", "fallback", "small"), 0)
+
+
+def reset_counts():
+    for k in COUNTS:
+        COUNTS[k] = 0
 
 
 class LpResult:
@@ -34,14 +63,14 @@ class LpResult:
         return "LpResult(%r, value=%r)" % (self.status, self.value)
 
 
+def _items(coeffs):
+    return coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)
+
+
 def _as_row(coeffs, n):
     row = [ZERO] * n
-    if isinstance(coeffs, dict):
-        for j, c in coeffs.items():
-            row[j] = Fraction(c)
-    else:
-        for j, c in enumerate(coeffs):
-            row[j] = Fraction(c)
+    for j, c in _items(coeffs):
+        row[j] = Fraction(c)
     return row
 
 
@@ -139,9 +168,9 @@ def _price_out(obj, tab, basis):
     for i, bj in enumerate(basis):
         coef = obj[bj]
         if coef != 0:
-            row = tab[i]
-            for j in range(len(obj)):
-                obj[j] -= coef * row[j]
+            for k, v in enumerate(tab[i]):
+                if v:
+                    obj[k] -= coef * v
 
 
 def _iterate(obj, tab, basis, ncols, banned=frozenset()):
@@ -172,23 +201,26 @@ def _iterate(obj, tab, basis, ncols, banned=frozenset()):
 
 
 def _pivot(obj, tab, basis, i, j):
-    piv = tab[i][j]
+    """Pivot on tab[i][j], touching only the nonzero entries of row i."""
     row = tab[i]
-    inv = ONE / piv
-    for k in range(len(row)):
-        row[k] *= inv
+    inv = ONE / row[j]
+    nonzero = []
+    for k, v in enumerate(row):
+        if v:
+            row[k] = v = v * inv
+            nonzero.append((k, v))
     for r in range(len(tab)):
         if r == i:
             continue
         f = tab[r][j]
         if f != 0:
             other = tab[r]
-            for k in range(len(row)):
-                other[k] -= f * row[k]
+            for k, v in nonzero:
+                other[k] -= f * v
     f = obj[j]
     if f != 0:
-        for k in range(len(row)):
-            obj[k] -= f * row[k]
+        for k, v in nonzero:
+            obj[k] -= f * v
     basis[i] = j
 
 
@@ -217,3 +249,72 @@ def feasible(num_vars, rows):
     if res.status == "optimal":
         return res.x
     return None
+
+
+def positive_max(num_vars, objective, rows):
+    """The exact optimal x of `solve(num_vars, objective, rows)` when that
+    program is optimal with a positive value; None otherwise (value <= 0,
+    infeasible or unbounded).
+
+    None is returned without the exact simplex only when a rounded float dual
+    y passes the exact check A^T y >= c, b.y <= 0 with y of the right sign per
+    row: then c.x <= (A^T y).x <= b.y <= 0 for every feasible x. Programs
+    with fewer than `_FLOAT_MIN_SIZE` variables x rows skip the float side.
+    """
+    rows = list(rows)
+    if num_vars * len(rows) < _FLOAT_MIN_SIZE:
+        COUNTS["small"] += 1
+    else:
+        c = _as_row(objective, num_vars)
+        res = _float_dual(num_vars, c, rows)
+        if res.status == 0 and res.fun > _POSITIVE:
+            COUNTS["positive"] += 1
+        elif res.status == 0 and _certifies(num_vars, c, rows, res.x):
+            COUNTS["certified"] += 1
+            return None
+        else:
+            COUNTS["fallback"] += 1
+    exact = solve(num_vars, objective, rows)
+    if exact.status == "optimal" and exact.value > 0:
+        return exact.x
+    return None
+
+
+def _float_dual(num_vars, c, rows):
+    """HiGHS on the dual: min b.y s.t. A^T y >= c and b.y >= -1, with y >= 0
+    on <= rows, y <= 0 on >= rows and y free on == rows. The extra row keeps
+    the dual bounded when the primal is infeasible. Returns the linprog result."""
+    m = len(rows)
+    a_ub = np.zeros((num_vars + 1, m))
+    b = np.empty(m)
+    for i, (coeffs, _op, rhs) in enumerate(rows):
+        for j, v in _items(coeffs):
+            if v:
+                a_ub[j, i] = -float(v)
+        b[i] = float(rhs)
+    a_ub[num_vars] = -b
+    b_ub = np.array([-float(v) for v in c] + [1.0])
+    bounds = [_DUAL_BOUNDS[op] for _coeffs, op, _rhs in rows]
+    # Presolve costs more than it saves on programs this small.
+    return linprog(
+        b, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs",
+        options={"presolve": False},
+    )
+
+
+def _certifies(num_vars, c, rows, y):
+    """Round y to rationals, zero its wrong-sign entries and check exactly
+    that it is dual feasible with b.y <= 0."""
+    lhs = [ZERO] * num_vars
+    by = ZERO
+    for (coeffs, op, rhs), v in zip(rows, y):
+        if not v or (op == LE and v < 0) or (op == GE and v > 0):
+            continue
+        yi = Fraction(v).limit_denominator()
+        if not yi:
+            continue
+        by += yi * Fraction(rhs)
+        for j, a in _items(coeffs):
+            if a:
+                lhs[j] += yi * a
+    return by <= 0 and all(l >= cj for l, cj in zip(lhs, c))

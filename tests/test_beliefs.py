@@ -257,15 +257,21 @@ def test_witness_respects_restrictions(bribe, bribe_delta):
 
 def test_point_path_query_solves_no_lp(bribe, bribe_delta, monkeypatch):
     """The empty-polytope check runs only when a query fails, so a
-    restricted query that a point system settles runs no LP at all."""
+    restricted query that a point system settles runs no LP at all, on
+    neither the float nor the exact path."""
     calls = []
-    solve = lp.solve
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
+    def counting(name):
+        inner = getattr(lp, name)
 
-    monkeypatch.setattr(lp, "solve", counting)
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("solve", "positive_max"):
+        monkeypatch.setattr(lp, name, counting(name))
     cps = beliefs.exists_admissible_cps(
         bribe, "Ann", strat(bribe, "Ann", "N.P"), (), bribe_delta
     )
@@ -273,26 +279,23 @@ def test_point_path_query_solves_no_lp(bribe, bribe_delta, monkeypatch):
     assert calls == []
 
 
-def test_bribe_threshold_is_exact(bribe):
-    """B.I needs P(A) >= 2/3 at the root; a cap just below that blocks it."""
-    low = dsl.parse_restrictions(
-        "player Ann\n  at ann_root: P[Bob = A] <= 2/3\n", bribe
-    )
-    assert (
-        beliefs.exists_admissible_cps(
-            bribe, "Ann", strat(bribe, "Ann", "B.I"), (), low
+def test_bribe_threshold_is_exact(bribe, monkeypatch):
+    """B.I needs P(A) >= 2/3 at the root; a cap just below that blocks it,
+    also where the refuting dual is too close to round (1/1500000 below).
+    Every LP takes the float side here, however small."""
+    monkeypatch.setattr(lp, "_FLOAT_MIN_SIZE", 0)
+    for cap, kept in (("2/3", True), ("665/1000", False), ("666666/1000000", False)):
+        rest = dsl.parse_restrictions(
+            "player Ann\n  at ann_root: P[Bob = A] <= %s\n" % cap, bribe
         )
-        is not None
-    )
-    lower = dsl.parse_restrictions(
-        "player Ann\n  at ann_root: P[Bob = A] <= 665/1000\n", bribe
-    )
-    assert (
-        beliefs.exists_admissible_cps(
-            bribe, "Ann", strat(bribe, "Ann", "B.I"), (), lower
+        lp.reset_counts()
+        cps = beliefs.exists_admissible_cps(
+            bribe, "Ann", strat(bribe, "Ann", "B.I"), (), rest
         )
-        is None
-    )
+        assert (cps is not None) == kept
+        if cap == "665/1000":
+            assert lp.COUNTS["certified"] > 0
+            assert lp.COUNTS["fallback"] == lp.COUNTS["positive"] == 0
 
 
 def test_contradictory_clauses_raise_empty_polytope(bribe):

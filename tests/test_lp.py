@@ -1,10 +1,15 @@
-"""Exact simplex unit tests, cross-checked against scipy on random LPs."""
+"""Exact simplex unit tests, cross-checked against scipy on random LPs, and
+the float-proposes, rational-checks entry `positive_max` checked against the
+exact simplex."""
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from fisolve import lp
@@ -122,3 +127,113 @@ def test_random_cross_check_scipy(seed):
         assert res.status == "optimal"
         assert ref.success
         assert abs(float(res.value) - (-ref.fun)) < 1e-7
+
+
+@st.composite
+def small_lps(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 5))
+    small = st.integers(-4, 4)
+    obj = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    rows = [
+        (
+            draw(st.lists(small, min_size=n, max_size=n)),
+            draw(st.sampled_from([lp.LE, lp.GE, lp.EQ])),
+            draw(st.integers(-3, 6)),
+        )
+        for _ in range(m)
+    ]
+    return n, obj, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_lps())
+def test_positive_max_agrees_with_exact_simplex(prog):
+    """With the size cut-off at 0 every program takes the float side."""
+    n, obj, rows = prog
+    res = lp.solve(n, obj, rows)
+    with mock.patch.object(lp, "_FLOAT_MIN_SIZE", 0):
+        got = lp.positive_max(n, obj, rows)
+    if res.status != "optimal" or res.value <= 0:
+        assert got is None
+    else:
+        assert got == res.x
+
+
+def counts(**nonzero):
+    return dict(dict.fromkeys(lp.COUNTS, 0), **nonzero)
+
+
+@pytest.fixture
+def float_side(monkeypatch):
+    """Send every program, however small, to the float side."""
+    monkeypatch.setattr(lp, "_FLOAT_MIN_SIZE", 0)
+    lp.reset_counts()
+
+
+# max eps s.t. x - eps >= 0, x <= 0, eps <= 1: the maximum is 0, and the
+# dual y = (-1, 1, 0) proves it.
+REFUTED = (2, {1: 1}, [({0: 1, 1: -1}, lp.GE, 0), ({0: 1}, lp.LE, 0), ({1: 1}, lp.LE, 1)])
+
+
+def test_small_program_skips_the_float_side(monkeypatch):
+    def no_float(*args):
+        raise AssertionError("HiGHS ran")
+
+    monkeypatch.setattr(lp, "_float_dual", no_float)
+    lp.reset_counts()
+    assert lp.positive_max(*REFUTED) is None
+    assert lp.COUNTS == counts(small=1)
+
+
+def test_refutation_is_certified_without_the_simplex(float_side, monkeypatch):
+    def no_simplex(*args):
+        raise AssertionError("exact simplex ran")
+
+    monkeypatch.setattr(lp, "solve", no_simplex)
+    assert lp.positive_max(*REFUTED) is None
+    assert lp.COUNTS == counts(certified=1)
+
+
+def test_positive_maximum_takes_the_exact_path(float_side):
+    # max eps s.t. x0 + x1 == 1, x0 - eps >= 0, x1 - eps >= 0, eps <= 1
+    rows = [
+        ({0: 1, 1: 1}, lp.EQ, 1),
+        ({0: 1, 2: -1}, lp.GE, 0),
+        ({1: 1, 2: -1}, lp.GE, 0),
+        ({2: 1}, lp.LE, 1),
+    ]
+    x = lp.positive_max(3, {2: 1}, rows)
+    assert x == lp.solve(3, {2: 1}, rows).x == [Fraction(1, 2)] * 3
+    assert lp.COUNTS == counts(positive=1)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda y: y * 0.5, lambda y: -y, lambda y: y + 1e-3],
+    ids=["scaled", "wrong-sign", "perturbed"],
+)
+def test_corrupt_float_dual_falls_back(float_side, monkeypatch, corrupt):
+    float_dual = lp._float_dual
+
+    def proposing(*args):
+        res = float_dual(*args)
+        res.x = corrupt(res.x)
+        return res
+
+    monkeypatch.setattr(lp, "_float_dual", proposing)
+    assert lp.positive_max(*REFUTED) is None
+    assert lp.COUNTS == counts(fallback=1)
+
+
+def test_wrong_sign_dual_cannot_refute_a_positive_lp(float_side, monkeypatch):
+    """max x s.t. x >= 0, x <= 1 has value 1. The proposal y = (1, 0) meets
+    A^T y >= c and b.y <= 0 but has the wrong sign on the >= row, so it is
+    zeroed there, the check fails and the exact simplex answers."""
+    monkeypatch.setattr(
+        lp,
+        "_float_dual",
+        lambda *args: SimpleNamespace(status=0, fun=0.0, x=np.array([1.0, 0.0])),
+    )
+    assert lp.positive_max(1, [1], [([1], lp.GE, 0), ([1], lp.LE, 1)]) == [1]
+    assert lp.COUNTS == counts(fallback=1)
