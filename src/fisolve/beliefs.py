@@ -25,7 +25,10 @@ systems, which settle most kept strategies by set lookups alone.
 The same machinery answers a coupled query used when restrictions are given
 implicitly as "agrees on a set of events with some member of a smaller CPS
 set": two belief systems, each with its own obligations, tied together by
-equality of conditionals on a Hasse-upward-closed set of groups.
+equality of conditionals on a Hasse-upward-closed set of groups. Membership
+in such a closure is a one-system query that pins the given conditionals on
+the agreement events as clause rows P(t) = w. Every obligation is an allowed
+set or a linear row on one event group's conditional.
 """
 
 from fractions import Fraction
@@ -180,14 +183,6 @@ class BeliefSpace:
         return ",".join(
             "%s=%s" % (j, s.name) for j, s in zip(self.opponents, self.combos[t])
         )
-
-    def ancestors(self, gi):
-        out = []
-        p = self.parent[gi]
-        while p is not None:
-            out.append(p)
-            p = self.parent[p]
-        return out
 
 
 class _Group:
@@ -467,30 +462,31 @@ class _Bundle:
         self.allowed = {}       # group index -> set of combos (intersection)
         self.rows = {}          # group index -> [(coefs, op, rhs)]
         self.rationality = {}   # group index -> [diff coef dicts, >= 0]
-        self.point = {}         # group index -> {t: Fraction} pinned conditional
         self.strategy_index = None
+
+    def restrict(self, gi, ts):
+        cur = self.allowed.get(gi)
+        self.allowed[gi] = set(ts) if cur is None else (cur & ts)
 
     def add_mandates(self, items):
         for item in items:
             for h, ts in item.allowed.items():
-                gi = self.space.group_of[h]
-                cur = self.allowed.get(gi)
-                self.allowed[gi] = set(ts) if cur is None else (cur & ts)
+                self.restrict(self.space.group_of[h], ts)
 
     def add_clauses(self, clauses):
         for h, cls in clauses.items():
             gi = self.space.group_of[h]
-            ev = self.space.groups[gi].event
             for cl in cls:
-                coefs, op, rhs = clause_row(self.space, cl)
-                support = self._as_support(ev, coefs, op, rhs)
-                if support is not None:
-                    cur = self.allowed.get(gi)
-                    self.allowed[gi] = (
-                        set(support) if cur is None else (cur & support)
-                    )
-                    continue
-                self.rows.setdefault(gi, []).append((coefs, op, rhs))
+                self.add_row(gi, *clause_row(self.space, cl))
+
+    def add_row(self, gi, coefs, op, rhs):
+        """One linear row on group gi's conditional; a row that only pins
+        the support becomes an allowed set."""
+        support = self._as_support(self.space.groups[gi].event, coefs, op, rhs)
+        if support is None:
+            self.rows.setdefault(gi, []).append((coefs, op, rhs))
+        else:
+            self.restrict(gi, support)
 
     @staticmethod
     def _as_support(event, coefs, op, rhs):
@@ -513,10 +509,6 @@ class _Bundle:
         for gi, diff in self.space.rationality_rows(strategy_index):
             self.rationality.setdefault(gi, []).append(diff)
 
-    def add_point(self, infoset, conditional):
-        gi = self.space.group_of[infoset]
-        self.point[gi] = {t: Fraction(w) for t, w in conditional.items()}
-
     def satisfied_by(self, cps):
         """Exact check of every obligation against a concrete system."""
         sp = self.space
@@ -535,12 +527,6 @@ class _Bundle:
             for diff in diffs:
                 if sum((cps.prob(h, t) * d for t, d in diff.items()), ZERO) < 0:
                     return False
-        for gi, pinned in self.point.items():
-            h = sp.groups[gi].infosets[0]
-            ev = sp.event[h]
-            for t in ev:
-                if cps.prob(h, t) != pinned.get(t, ZERO):
-                    return False
         return True
 
 
@@ -553,15 +539,14 @@ def _holds(val, op, rhs):
 
 
 def _merged(space, bundles):
-    """One bundle holding every obligation of the given ones (no pins).
+    """One bundle holding every obligation of the given ones.
 
     A single system satisfies the merge iff it satisfies each bundle, so it
     can serve every slot at once."""
     merged = _Bundle(space)
     for b in bundles:
         for gi, ts in b.allowed.items():
-            cur = merged.allowed.get(gi)
-            merged.allowed[gi] = set(ts) if cur is None else (cur & ts)
+            merged.restrict(gi, ts)
         for gi, rws in b.rows.items():
             merged.rows.setdefault(gi, []).extend(rws)
         for gi, diffs in b.rationality.items():
@@ -570,8 +555,7 @@ def _merged(space, bundles):
 
 
 def _point_witness(space, bundle):
-    """A lexicographic point system satisfying the bundle (which pins no
-    conditional), or None.
+    """A lexicographic point system satisfying the bundle, or None.
 
     Orderings are tried most promising first: combos allowed by more groups
     lead. The ordering led by t0 puts each group's mass on t0 when t0 is in
@@ -618,19 +602,18 @@ def _admissible(game, player, bundles, shared=frozenset()):
     (slot), equal on the shared groups, or None when none exists.
 
     Steps: an empty allowed set refutes at once; then a lexicographic point
-    system satisfying every bundle serves all slots, unless some bundle pins
-    conditionals; then the exact pattern search, whose answer is verified.
+    system satisfying every bundle serves all slots; then the exact pattern
+    search, whose answer is verified.
     """
     space = space_for(game, player)
     for b in bundles:
         if not all(b.allowed.values()):
             return None
-    if not any(b.point for b in bundles):
-        merged = _merged(space, bundles)
-        if all(merged.allowed.values()):
-            cps = _point_witness(space, merged)
-            if cps is not None:
-                return [cps] * len(bundles)
+    merged = _merged(space, bundles)
+    if all(merged.allowed.values()):
+        cps = _point_witness(space, merged)
+        if cps is not None:
+            return [cps] * len(bundles)
     found = _solve_patterns(space, bundles, shared)
     if found is not None:
         _verify(game, player, bundles, shared, found)
@@ -652,7 +635,6 @@ def _solve_patterns(space, bundles, shared):
             )
 
     order = [g.index for g in groups]  # already topological (size-sorted)
-    edges = [(gi, space.parent[gi]) for gi in order if space.parent[gi] is not None]
 
     # One assignment = for every slot and group, the block whose restriction
     # to the group's event carries the conditional. Blocks are created at
@@ -669,71 +651,37 @@ def _solve_patterns(space, bundles, shared):
             return
         gi = order[k]
         par = space.parent[gi]
-        if par is None:
-            if gi in shared:
-                key = ("sh", gi)
-                b2 = dict(block_of)
-                for s in range(nslots):
-                    b2[(s, gi)] = key
-                descend(k + 1, b2, fresh + [key], zero_rows, eps_rows)
-            else:
-                b2 = dict(block_of)
-                keys = []
-                for s in range(nslots):
-                    key = (s, gi)
-                    b2[(s, gi)] = key
-                    keys.append(key)
-                descend(k + 1, b2, fresh + keys, zero_rows, eps_rows)
-            return
-
-        parent_blocks = [block_of[(s, par)] for s in range(nslots)]
-        shared_parent = len(set(parent_blocks)) == 1
         ev = groups[gi].event
-
-        if shared_parent:
-            pb = parent_blocks[0]
-            # positive mass: inherit (conditionals stay equal across slots)
-            b2 = dict(block_of)
-            for s in range(nslots):
-                b2[(s, gi)] = pb
-            descend(k + 1, b2, fresh, zero_rows, eps_rows + [(pb, ev)])
+        # Per-slot flags: 1 inherits the parent's block (positive mass on the
+        # event), 0 restarts on a fresh block (the parent gives the event zero
+        # mass). Slots sharing one parent block choose together; roots
+        # restart. A shared group never has diverged parents (guard above).
+        if par is None:
+            choices = [(0,) * nslots]
+        elif len({block_of[(s, par)] for s in range(nslots)}) == 1:
+            choices = [(1,) * nslots, (0,) * nslots]
+        else:
+            choices = product((1, 0), repeat=nslots)
+        for flags in choices:
             if results[0] is not None:
                 return
-            # zero mass: parent drops the event; slots restart
-            zr = zero_rows + [(pb, ev)]
             b2 = dict(block_of)
-            if gi in shared:
-                key = ("sh", gi)
-                for s in range(nslots):
-                    b2[(s, gi)] = key
-                descend(k + 1, b2, fresh + [key], zr, eps_rows)
-            else:
-                keys = []
-                for s in range(nslots):
-                    key = (s, gi)
-                    b2[(s, gi)] = key
-                    keys.append(key)
-                descend(k + 1, b2, fresh + keys, zr, eps_rows)
-        else:
-            # parents already diverged; guard guarantees gi is not shared
-            for flags in product((1, 0), repeat=nslots):
-                if results[0] is not None:
-                    return
-                b2 = dict(block_of)
-                zr = list(zero_rows)
-                er = list(eps_rows)
-                keys = []
-                for s in range(nslots):
+            keys = []
+            zr = list(zero_rows)
+            er = list(eps_rows)
+            for s in range(nslots):
+                if flags[s]:
                     pb = block_of[(s, par)]
-                    if flags[s]:
-                        b2[(s, gi)] = pb
-                        er.append((pb, ev))
-                    else:
-                        key = (s, gi)
-                        b2[(s, gi)] = key
-                        keys.append(key)
-                        zr.append((pb, ev))
-                descend(k + 1, b2, fresh + keys, zr, er)
+                    b2[(s, gi)] = pb
+                    er.append((pb, ev))
+                    continue
+                key = ("sh", gi) if gi in shared else (s, gi)
+                b2[(s, gi)] = key
+                if key not in keys:
+                    keys.append(key)
+                if par is not None:
+                    zr.append((block_of[(s, par)], ev))
+            descend(k + 1, b2, fresh + keys, zr, er)
 
     descend(0, {}, [], [], [])
     return results[0]
@@ -823,27 +771,6 @@ def _solve_one(space, bundles, block_of, fresh, zero_rows, eps_rows):
                     if col is not None:
                         r[col] = d
                 rows.append((r, lp.GE, ZERO))
-        for gi, pinned in b.point.items():
-            key = block_of[(s, gi)]
-            ev = groups[gi].event
-            for t in ev:
-                target = pinned.get(t, ZERO)
-                col = term(key, t)
-                if col is None:
-                    if target:
-                        return None  # pinned positive mass on a zeroed variable
-                    continue
-                r = {col: ONE}
-                if target:
-                    for t2 in ev:
-                        col2 = term(key, t2)
-                        if col2 is not None:
-                            r[col2] = r.get(col2, ZERO) - target
-                # An empty row means the pin cancelled against the block mass
-                # (single live column); it holds identically.
-                r = {c: v for c, v in r.items() if v}
-                if r:
-                    rows.append((r, lp.EQ, ZERO))
 
     x = lp.positive_max(ncols, {eps: ONE}, rows)
     if x is None:
@@ -959,17 +886,22 @@ def cps_in_agreement_closure(
     game, player, cps, bar_mandates, bar_restrictions, agreement_infosets
 ):
     """Does some system satisfying the bar obligations agree with the given
-    one on every agreement event? Implements implicit restriction membership."""
+    one on every agreement event? Implements implicit restriction membership.
+
+    Agreement pins each agreement group's conditional by one clause row
+    P(t) = w per combo t of its event (w read at the group's first listed
+    infoset); a 0/1 weight becomes an allowed set."""
     sp = space_for(game, player)
     clauses = _clause_map(game, player, bar_restrictions)
     bar = _Bundle(sp)
     bar.add_mandates(bar_mandates)
     bar.add_clauses(clauses)
-    seen = set()
+    pinned = set()
     for h in agreement_infosets:
         gi = sp.group_of[h]
-        if gi in seen:
+        if gi in pinned:
             continue
-        seen.add(gi)
-        bar.add_point(h, cps.table[h])
+        pinned.add(gi)
+        for t in sp.groups[gi].csorted:
+            bar.add_row(gi, {t: ONE}, lp.EQ, Fraction(cps.prob(h, t)))
     return _admissible(game, player, [bar]) is not None

@@ -8,7 +8,9 @@ One game file per invocation, then exactly one of three modes:
 
 Procedures: rationalizability, strong-delta, selective, no-s3 (membership in
 the base fixed point instead of the full obligation tower), and generalized
-(the raw kernel: full start, optional restrictions, no gate).
+(the raw kernel: full start, optional restrictions, no gate). --correlated
+applies to rationalizability and generalized only; with any other procedure
+it is a usage error.
 
 Exit codes: 0 solved or compared (an empty solution set is still a result),
 1 a stability scenario has failing checks, 2 unreadable or unparseable
@@ -107,6 +109,8 @@ def main(argv=None):
         )
     if args.procedure in _NEED_RESTRICTIONS and not args.restrictions:
         parser.error("--procedure %s needs --restrictions" % args.procedure)
+    if args.procedure in _NEED_RESTRICTIONS and args.correlated:
+        parser.error("--correlated does not apply to --procedure %s" % args.procedure)
     compare_names = None
     if args.compare is not None:
         compare_names = tuple(t.strip() for t in args.compare.split(","))
@@ -119,6 +123,8 @@ def main(argv=None):
         needy = [n for n in compare_names if n in _NEED_RESTRICTIONS]
         if needy and not args.restrictions:
             parser.error("--compare with %s needs --restrictions" % needy[0])
+        if needy and args.correlated:
+            parser.error("--correlated does not apply to %s" % needy[0])
 
     try:
         return _dispatch(args, compare_names)
@@ -221,7 +227,7 @@ def _run_procedure(args, game, delta):
     trace = _solve(args.procedure, game, delta, args)
     report = None
     if args.oracle_check is not None:
-        report = _oracle_replay(trace, delta, args.oracle_check, args.correlated)
+        report = _oracle_replay(trace, delta, args.oracle_check)
     if args.format == "structured":
         doc = json.loads(dsl.serialize_solution(trace))
         if report is not None:
@@ -246,19 +252,14 @@ def _run_procedure(args, game, delta):
     return 0
 
 
-def _oracle_replay(trace, delta, denominator, correlated):
-    """Re-ask every round's keep/eliminate queries with the grid search.
+def _oracle_replay(trace, delta, denominator):
+    """Re-ask every round's keep/eliminate queries with the grid search,
+    with exactly the obligations the solve recorded for that round.
 
     Raises when the grid finds a belief system the engine missed. An engine
     witness below the grid resolution is only an advisory.
     """
     game = trace.game
-    gate_rounds = None
-    if trace.procedure == "selective" and trace.base is not None:
-        gate_rounds = [
-            {p: r.strategies(p) for p in game.players}
-            for r in trace.base.rounds
-        ]
     report = {
         "denominator": denominator,
         "queries": 0,
@@ -268,22 +269,13 @@ def _oracle_replay(trace, delta, denominator, correlated):
         "advisories": [],
     }
     for n in range(1, len(trace.rounds)):
-        history = [
-            {p: r.strategies(p) for p in game.players}
-            for r in trace.rounds[:n]
-        ]
         for player in game.players:
-            mandates = solvers._round_mandates(game, player, history, correlated)
-            if gate_rounds:
-                mandates = mandates + solvers._gate_mandates(
-                    game, player, gate_rounds, correlated
-                )
             for s in trace.rounds[n - 1].strategies(player):
                 verdict = oracle.concordance_verdict(
                     game,
                     player,
                     s,
-                    mandates,
+                    trace.mandates[n][player],
                     restrictions=delta,
                     denominator=denominator,
                 )

@@ -64,10 +64,6 @@ class Strategy:
     name: str
     index: int  # position in the canonical strategy list
 
-    def action_at(self, game, infoset_name):
-        pos = game.player_infosets[self.player].index(infoset_name)
-        return game.infosets[infoset_name].actions[self.choices[pos]]
-
 
 class GameTree:
     def __init__(self, name, players, root, nodes, leaves, infosets, infoset_order):
@@ -360,22 +356,6 @@ class GameTree:
         """The owner's closest preceding infoset, or None."""
         hist = self.own_history(infoset_name)
         return hist[-1][0] if hist else None
-
-
-def validate(game):
-    return game.validate()
-
-
-def outcome(game, profile):
-    return game.outcome(profile)
-
-
-def strategies_reaching(game, player, infoset_name):
-    return game.strategies_reaching(player, infoset_name)
-
-
-def immediate_predecessor(game, infoset_name):
-    return game.immediate_predecessor(infoset_name)
 
 
 def compatible_infosets(game, player, restriction):

@@ -74,6 +74,8 @@ class SolveTrace:
         self.rounds = []
         self.eliminated = {}
         self.witnesses = {}
+        # round -> {player: the obligation list that round's queries carried}
+        self.mandates = {}
         self.fixed_point_round = None
         self.notes = []
         self.base = None
@@ -181,7 +183,11 @@ def generalized_solve(spec):
         ]
         new_sets = {}
         elim = {}
+        trace.mandates[n] = {}
         for player in game.players:
+            mandates = _round_mandates(game, player, history, spec.correlated)
+            mandates.extend(gate[player])
+            trace.mandates[n][player] = mandates
             if player in dead:
                 for s in prev.strategies(player):
                     elim[(player, s.name)] = (
@@ -189,8 +195,6 @@ def generalized_solve(spec):
                     )
                 new_sets[player] = ()
                 continue
-            mandates = _round_mandates(game, player, history, spec.correlated)
-            mandates.extend(gate[player])
             keep = []
             for s in prev.strategies(player):
                 if spec.membership is not None and s.index not in spec.membership[player]:
@@ -411,11 +415,6 @@ def rationalize_restrictions(game, delta, base=None, explain=EXPLAIN_DEFAULT):
     return ImplicitRestrictions(game, delta, base, run)
 
 
-def own_reachable_infosets(game, player, strategies):
-    """Infosets of the player that some listed own strategy reaches."""
-    return compatible_infosets(game, player, {player: strategies})
-
-
 def _follows(game, player, later, earlier):
     return later == earlier or earlier in game.own_history(later)
 
@@ -436,7 +435,7 @@ def check_composition_lemma(game, delta_trace, base):
             surv = rnd.strategies(player)
             if not surv:
                 continue
-            own_reach = set(own_reachable_infosets(game, player, surv))
+            own_reach = set(compatible_infosets(game, player, {player: surv}))
             alive = set(compatible_infosets(game, player, fixed))
             pos = {h: k for k, h in enumerate(game.player_infosets[player])}
             for h in own_reach - alive:

@@ -240,4 +240,6 @@ def test_11_stability_scenario(cleo):
     failed = [(d, detail) for d, passed, detail in rows if not passed]
     assert failed == []
     assert len(rows) == 9
+    for description, _passed, detail in rows:
+        assert isinstance(description, str) and isinstance(detail, str)
     _timed("11 stability scenario passes %d/%d checks" % (len(rows), len(rows)), 60.0, t0)

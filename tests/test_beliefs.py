@@ -398,3 +398,77 @@ def test_agreement_closure_membership(bribe, bribe_delta):
     assert beliefs.cps_in_agreement_closure(
         bribe, "Ann", on_a, (), bribe_delta, ()
     )
+
+
+def test_coupled_pair_diverged_parents(bribe, monkeypatch):
+    """No agreement, so each slot restarts its own root block and the child
+    event sees two different parent blocks. mu (B.I, strong belief in A)
+    must inherit at the child; bar (strong belief in R) puts zero mass on it
+    and restarts there."""
+    bob_r = strat(bribe, "Bob", "R")
+    bob_a = strat(bribe, "Bob", "A")
+    sb_r = beliefs.strong_belief_mandate(bribe, "Ann", "sb R", "Bob", [bob_r])
+    sb_a = beliefs.strong_belief_mandate(bribe, "Ann", "sb A", "Bob", [bob_a])
+    sp = beliefs.space_for(bribe, "Ann")
+    root = sp.group_of["ann_root"]
+    child = sp.group_of["ann_after_ba"]
+    patterns = []
+    solve_one = beliefs._solve_one
+
+    def recording(space, bundles, block_of, fresh, zero_rows, eps_rows):
+        patterns.append(list(fresh))
+        return solve_one(space, bundles, block_of, fresh, zero_rows, eps_rows)
+
+    monkeypatch.setattr(beliefs, "_solve_one", recording)
+    pair = beliefs.coupled_admissible_pair(
+        bribe, "Ann", strat(bribe, "Ann", "B.I"), [sb_a], [sb_r], None, ()
+    )
+    assert pair is not None
+    mu, bar = pair
+    assert mu.prob("ann_root", 1) == 1
+    assert mu.prob("ann_after_ba", 1) == 1
+    assert bar.prob("ann_root", 0) == 1
+    assert bar.prob("ann_after_ba", 1) == 1
+    # Both inherit (refuted), then mu inherits while bar restarts.
+    assert patterns == [
+        [(0, root), (1, root)],
+        [(0, root), (1, root), (1, child)],
+    ]
+    # B.I is never optimal under strong belief in R, whatever bar does.
+    assert (
+        beliefs.coupled_admissible_pair(
+            bribe, "Ann", strat(bribe, "Ann", "B.I"), [sb_r], [sb_a], None, ()
+        )
+        is None
+    )
+
+
+def test_agreement_closure_mixed_conditional(bribe, monkeypatch):
+    """A non-point conditional on an agreement event is pinned weight by
+    weight, so no point system can serve it and the pattern LP decides.
+    The closure caps P(A) at 1/2 at the root; mu puts 1/3 or 2/3 there."""
+    cap = dsl.parse_restrictions(
+        "player Ann\n  at ann_root: P[Bob = A] <= 1/2\n", bribe
+    )
+    calls = []
+    positive_max = lp.positive_max
+
+    def counting(*args):
+        calls.append(args)
+        return positive_max(*args)
+
+    monkeypatch.setattr(lp, "positive_max", counting)
+    agreement = ("ann_root", "ann_after_ba")
+    for p_a, member in ((Fraction(1, 3), True), (Fraction(2, 3), False)):
+        mu = beliefs.cps_from_table(
+            bribe,
+            "Ann",
+            {"ann_root": {0: 1 - p_a, 1: p_a}, "ann_after_ba": {1: 1}},
+        )
+        assert beliefs.is_valid_cps(bribe, "Ann", mu)
+        del calls[:]
+        assert (
+            beliefs.cps_in_agreement_closure(bribe, "Ann", mu, (), cap, agreement)
+            is member
+        )
+        assert calls

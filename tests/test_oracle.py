@@ -136,32 +136,18 @@ def test_contradictory_restrictions_agree_none(bribe):
 
 
 def test_full_round_replay_agrees(bribe, cleo, cleo_nw, cleo_base):
-    """Every keep/eliminate decision of two full runs, re-asked on the grid."""
+    """Every keep/eliminate decision of two full runs, re-asked on the grid
+    with the obligations each round's queries carried."""
     count = 0
     for game, delta, trace in (
         (bribe, None, solvers.rationalizability(bribe)),
         (cleo, cleo_nw, solvers.selective_rationalizability(cleo, cleo_nw, base=cleo_base)),
     ):
-        gate_rounds = None
-        if trace.base is not None:
-            gate_rounds = [
-                {p: r.strategies(p) for p in game.players}
-                for r in trace.base.rounds
-            ]
         for n in range(1, len(trace.rounds)):
-            history = [
-                {p: r.strategies(p) for p in game.players}
-                for r in trace.rounds[:n]
-            ]
             for player in game.players:
-                mandates = solvers._round_mandates(game, player, history, False)
-                if gate_rounds:
-                    mandates = mandates + solvers._gate_mandates(
-                        game, player, gate_rounds, False
-                    )
                 for s in trace.rounds[n - 1].strategies(player):
                     verdict = oracle.concordance_verdict(
-                        game, player, s, mandates, delta
+                        game, player, s, trace.mandates[n][player], delta
                     )
                     assert verdict in ("agree-witness", "agree-none")
                     count += 1

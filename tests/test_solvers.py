@@ -281,3 +281,35 @@ def test_no_query_is_asked_twice(bribe, monkeypatch):
     assert tr.eliminated
     assert asked
     assert len(asked) == len(set(asked))
+
+
+def test_trace_records_the_queried_mandates(cleo, cleo_nw, cleo_base, monkeypatch):
+    """trace.mandates holds, per round and player, the obligation list that
+    the solve's queries carried (explanations off, so no other lists). The
+    random three-player game is one where joint obligations differ from
+    per-opponent ones in 7 player-rounds; on cleo they are all vacuous."""
+    asked = set()
+    query = beliefs.exists_admissible_cps
+
+    def recording(game, player, strategy, mandates=(), restrictions=None):
+        asked.add((player, frozenset(it.key() for it in mandates)))
+        return query(game, player, strategy, mandates, restrictions)
+
+    monkeypatch.setattr(beliefs, "exists_admissible_cps", recording)
+    three = randgen.random_game(36, max_strategies=6)
+    for solve in (
+        lambda: solvers.selective_rationalizability(
+            cleo, cleo_nw, base=cleo_base, explain=False
+        ),
+        lambda: solvers.rationalizability(three, correlated=True, explain=False),
+    ):
+        asked.clear()
+        tr = solve()
+        assert sorted(tr.mandates) == list(range(1, len(tr.rounds)))
+        recorded = {
+            (player, frozenset(it.key() for it in tr.mandates[n][player]))
+            for n in tr.mandates
+            for player in tr.game.players
+            if tr.rounds[n - 1].strategies(player)
+        }
+        assert asked and recorded == asked

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from fisolve import stability
 from fisolve.stability import (
     MixedStrategy,
     PerturbationSpec,
@@ -20,8 +19,6 @@ from fisolve.stability import (
     pure_values,
     run_scenario,
 )
-
-from conftest import read
 
 
 W = 1 - 1 / math.sqrt(2)
@@ -198,15 +195,6 @@ def test_biased_tremble_has_no_equilibrium_near_se(nf, cleo):
 def test_search_budget_guard(nf, sigma):
     with pytest.raises(SearchBudgetExceeded):
         find_equilibrium_near(nf, sigma, epsilon=1e-2, budget=1)
-
-
-def test_scenario_all_checks_pass(cleo):
-    scenario = stability.parse_scenario(read("cleo_stability.scenario"))
-    rows = run_scenario(cleo, scenario)
-    assert len(rows) == 9
-    for description, passed, detail in rows:
-        assert passed, (description, detail)
-        assert isinstance(description, str) and isinstance(detail, str)
 
 
 def test_scenario_rejects_unknown_check(cleo):
