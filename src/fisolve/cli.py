@@ -6,11 +6,11 @@ One game file per invocation, then exactly one of three modes:
   --compare A,B               run two procedures and diff them round by round
   --stability-scenario FILE   run equilibrium and perturbation checks
 
-Procedures: rationalizability, strong-delta, selective, no-s3 (membership in
-the base fixed point instead of the full obligation tower), and generalized
-(the raw kernel: full start, optional restrictions, no gate). --correlated
-applies to rationalizability and generalized only; with any other procedure
-it is a usage error.
+Procedures: rationalizability, strong-delta, selective, no-s3 (selective
+without the gate: it starts at the base fixed point, which already keeps
+every survivor in it), and generalized (the raw kernel: full start, optional
+restrictions, no gate). --correlated applies to rationalizability and
+generalized only; with any other procedure it is a usage error.
 
 Exit codes: 0 solved or compared (an empty solution set is still a result),
 1 a stability scenario has failing checks, 2 unreadable or unparseable
@@ -69,8 +69,8 @@ def _build_parser():
         "--oracle-check",
         type=int,
         metavar="D",
-        help="replay every round's queries with the independent grid "
-        "search up to denominator D and report concordance",
+        help="with --procedure: replay every round's queries with the "
+        "independent grid search up to denominator D >= 1 and report concordance",
     )
     p.add_argument(
         "--correlated",
@@ -125,6 +125,10 @@ def main(argv=None):
             parser.error("--compare with %s needs --restrictions" % needy[0])
         if needy and args.correlated:
             parser.error("--correlated does not apply to %s" % needy[0])
+    if args.oracle_check is not None and args.procedure is None:
+        parser.error("--oracle-check needs --procedure")
+    if args.oracle_check is not None and args.oracle_check < 1:
+        parser.error("--oracle-check needs a denominator of at least 1")
 
     try:
         return _dispatch(args, compare_names)
@@ -227,7 +231,7 @@ def _run_procedure(args, game, delta):
     trace = _solve(args.procedure, game, delta, args)
     report = None
     if args.oracle_check is not None:
-        report = _oracle_replay(trace, delta, args.oracle_check)
+        report = _oracle_replay(trace, args.oracle_check)
     if args.format == "structured":
         doc = json.loads(dsl.serialize_solution(trace))
         if report is not None:
@@ -252,9 +256,9 @@ def _run_procedure(args, game, delta):
     return 0
 
 
-def _oracle_replay(trace, delta, denominator):
+def _oracle_replay(trace, denominator):
     """Re-ask every round's keep/eliminate queries with the grid search,
-    with exactly the obligations the solve recorded for that round.
+    with exactly the obligations and restrictions the solve recorded.
 
     Raises when the grid finds a belief system the engine missed. An engine
     witness below the grid resolution is only an advisory.
@@ -276,7 +280,7 @@ def _oracle_replay(trace, delta, denominator):
                     player,
                     s,
                     trace.mandates[n][player],
-                    restrictions=delta,
+                    restrictions=trace.restrictions,
                     denominator=denominator,
                 )
                 report["queries"] += 1

@@ -14,16 +14,18 @@ The three named procedures instantiate the kernel: rationalizability (full
 start, no restrictions, no gate), strong delta rationalizability (full
 start, restrictions on), and selective rationalizability (start at the
 rationalizability fixed point, restrictions on, gate = strong belief in
-every round of the base hierarchy). A fourth variant replaces the gate with
-plain membership in the base fixed point; it provably matches selective
-rationalizability when the restrictions only bind at infosets the fixed
-point keeps reachable, and the suite checks that equality round by round.
+every round of the base hierarchy). A fourth variant, no-s3, drops the gate;
+starting at the base fixed point already keeps every survivor in it. It
+provably matches selective rationalizability when the restrictions only bind
+at infosets the fixed point keeps reachable, and the suite checks that
+equality round by round.
 
 rationalize_restrictions builds the closure of a restriction profile: the
 set of systems that agree, on every infoset reachable at the base fixed
 point, with some system that satisfies the original restrictions and the
-full tower of strong-belief obligations of the earlier run. The closure is
-kept implicit; the kernel queries it through coupled two-system searches.
+full tower of strong-belief obligations of the selective run, read from
+that run's trace. The closure is kept implicit; the kernel queries it
+through coupled two-system searches.
 """
 
 from . import beliefs
@@ -39,8 +41,10 @@ class PreconditionViolated(Exception):
 class ProcedureSpec:
     """What the kernel needs: start sets, restrictions, gate, toggles.
 
-    workers is accepted for compatibility with existing callers and ignored:
-    every query runs in the calling thread.
+    gate_rounds is a list of ProfileSets (selective passes the base rounds).
+    No-s3 has none; its start at the base fixed point keeps every survivor
+    there, since rounds only shrink. workers is accepted for compatibility
+    with existing callers and ignored: every query runs in the calling thread.
     """
 
     def __init__(
@@ -50,7 +54,6 @@ class ProcedureSpec:
         start=None,
         restrictions=None,
         gate_rounds=None,
-        membership=None,
         correlated=False,
         explain=EXPLAIN_DEFAULT,
         base=None,
@@ -61,7 +64,6 @@ class ProcedureSpec:
         self.start = start if start is not None else ProfileSet.full(game)
         self.restrictions = restrictions
         self.gate_rounds = gate_rounds
-        self.membership = membership
         self.correlated = correlated
         self.explain = explain
         self.base = base
@@ -76,6 +78,8 @@ class SolveTrace:
         self.witnesses = {}
         # round -> {player: the obligation list that round's queries carried}
         self.mandates = {}
+        # the restrictions every query carried (None, a profile, or a closure)
+        self.restrictions = None
         self.fixed_point_round = None
         self.notes = []
         self.base = None
@@ -106,9 +110,9 @@ class SolveTrace:
 def _round_mandates(game, player, history, correlated):
     """G2: strong belief in each earlier round's survivors, per opponent.
 
-    history: list of {player: tuple of Strategy} from round 0 up. Obligations
-    whose target is the full strategy set are vacuous and skipped; identical
-    target sets across rounds collapse to one item.
+    history: list of ProfileSets from round 0 up. Obligations whose target
+    is the full strategy set are vacuous and skipped; identical target sets
+    across rounds collapse to one item.
     """
     items = []
     seen = set()
@@ -116,9 +120,9 @@ def _round_mandates(game, player, history, correlated):
     for q, comp in enumerate(history):
         if correlated:
             targets = {
-                j: comp[j]
+                j: comp.strategies(j)
                 for j in game.players
-                if j != player and len(comp[j]) < full_sizes[j]
+                if j != player and len(comp.strategies(j)) < full_sizes[j]
             }
             if not targets:
                 continue
@@ -130,10 +134,11 @@ def _round_mandates(game, player, history, correlated):
                 items.append(item)
             continue
         for j in game.players:
-            if j == player or len(comp[j]) >= full_sizes[j]:
+            targets = comp.strategies(j)
+            if j == player or len(targets) >= full_sizes[j]:
                 continue
             item = beliefs.strong_belief_mandate(
-                game, player, "round-%d survivors of %s" % (q, j), j, comp[j]
+                game, player, "round-%d survivors of %s" % (q, j), j, targets
             )
             if item.key() not in seen:
                 seen.add(item.key())
@@ -154,21 +159,8 @@ def generalized_solve(spec):
     game = spec.game
     trace = SolveTrace(game, spec.name)
     trace.base = spec.base
+    trace.restrictions = restrictions = spec.restrictions
     trace.rounds.append(spec.start)
-
-    dead = {}
-    restrictions = spec.restrictions
-    for player in game.players:
-        clauses = _declared(game, player, restrictions)
-        if not clauses:
-            continue
-        bad = beliefs.empty_restriction_infosets(game, player, clauses)
-        if bad:
-            dead[player] = bad[0]
-            trace.notes.append(
-                "EmptyPolytope: restrictions at %s leave %s no belief; "
-                "all strategies of %s eliminated in round 1" % (bad[0], player, player)
-            )
 
     gate = {
         player: _gate_mandates(game, player, spec.gate_rounds, spec.correlated)
@@ -178,29 +170,28 @@ def generalized_solve(spec):
     limit = 1 + sum(len(game.strategies(p)) for p in game.players)
     for n in range(1, limit + 1):
         prev = trace.rounds[-1]
-        history = [
-            {p: r.strategies(p) for p in game.players} for r in trace.rounds
-        ]
         new_sets = {}
         elim = {}
         trace.mandates[n] = {}
         for player in game.players:
-            mandates = _round_mandates(game, player, history, spec.correlated)
+            mandates = _round_mandates(game, player, trace.rounds, spec.correlated)
             mandates.extend(gate[player])
             trace.mandates[n][player] = mandates
-            if player in dead:
-                for s in prev.strategies(player):
-                    elim[(player, s.name)] = (
-                        "restriction clauses at %s admit no belief" % dead[player]
-                    )
-                new_sets[player] = ()
-                continue
             keep = []
             for s in prev.strategies(player):
-                if spec.membership is not None and s.index not in spec.membership[player]:
-                    elim[(player, s.name)] = "not in the base fixed point"
-                    continue
-                witness = _query(memo, game, player, s, mandates, restrictions)
+                try:
+                    witness = _query(memo, game, player, s, mandates, restrictions)
+                except beliefs.EmptyPolytope as exc:
+                    # The player's first failed query; no witness can exist.
+                    trace.notes.append(
+                        "EmptyPolytope: restrictions at %s leave %s no belief; "
+                        "all strategies of %s eliminated in round %d"
+                        % (exc.infoset, player, player, n)
+                    )
+                    reason = "restriction clauses at %s admit no belief" % exc.infoset
+                    for t in prev.strategies(player):
+                        elim[(player, t.name)] = reason
+                    break
                 if witness is None:
                     if spec.explain:
                         elim[(player, s.name)] = _explain(
@@ -216,21 +207,12 @@ def generalized_solve(spec):
         trace.rounds.append(cur)
         if elim:
             trace.eliminated[n] = elim
-        dead = {}
         if cur == prev:
             trace.fixed_point_round = n - 1
             break
     else:
         raise AssertionError("no fixed point within %d rounds" % limit)
     return trace
-
-
-def _declared(game, player, restrictions):
-    if restrictions is None:
-        return {}
-    if isinstance(restrictions, ImplicitRestrictions):
-        return restrictions.delta.clauses_for(player)
-    return restrictions.clauses_for(player)
 
 
 def _query(memo, game, player, strategy, mandates, restrictions):
@@ -304,15 +286,12 @@ def selective_rationalizability(
 ):
     if base is None:
         base = rationalizability(game, explain=explain)
-    gate_rounds = [
-        {p: r.strategies(p) for p in game.players} for r in base.rounds
-    ]
     spec = ProcedureSpec(
         game,
         "selective",
         start=base.survivors,
         restrictions=delta,
-        gate_rounds=gate_rounds,
+        gate_rounds=base.rounds,
         explain=explain,
         base=base,
     )
@@ -326,9 +305,8 @@ def is_rationalizable_restriction(game, delta, base=None):
         return True
     if base is None:
         base = rationalizability(game, explain=False)
-    fixed = {p: base.survivors.strategies(p) for p in game.players}
     for player in game.players:
-        alive = set(compatible_infosets(game, player, fixed))
+        alive = set(compatible_infosets(game, player, base.survivors.per_player))
         for infoset in delta.clauses_for(player):
             if delta.clauses_for(player)[infoset] and infoset not in alive:
                 return False
@@ -342,16 +320,11 @@ def solve_without_s3(game, delta, base=None, explain=EXPLAIN_DEFAULT, workers=1)
         raise PreconditionViolated(
             "restriction profile binds at infosets dead under the base fixed point"
         )
-    membership = {
-        p: frozenset(s.index for s in base.survivors.strategies(p))
-        for p in game.players
-    }
     spec = ProcedureSpec(
         game,
         "no-s3",
         start=base.survivors,
         restrictions=delta,
-        membership=membership,
         explain=explain,
         base=base,
     )
@@ -361,37 +334,18 @@ def solve_without_s3(game, delta, base=None, explain=EXPLAIN_DEFAULT, workers=1)
 class ImplicitRestrictions:
     """Closure of a restriction profile under agreement at base-reachable
     infosets. Membership of a system mu: some system satisfying the original
-    clauses plus the earlier run's full obligation tower must agree with mu
-    at every infoset in the agreement set."""
+    clauses plus the earlier run's full obligation tower (the list its last
+    round queried) must agree with mu at every infoset in the agreement set.
+    """
 
     def __init__(self, game, delta, base, delta_trace):
         self.game = game
         self.delta = delta
-        self.base = base
-        self.delta_trace = delta_trace
-        fixed = {p: base.survivors.strategies(p) for p in game.players}
+        fixed = base.survivors.per_player
         self.agreement = {
             p: tuple(compatible_infosets(game, p, fixed)) for p in game.players
         }
-        base_rounds = [
-            {p: r.strategies(p) for p in game.players} for r in base.rounds
-        ]
-        run_rounds = [
-            {p: r.strategies(p) for p in game.players} for r in delta_trace.rounds
-        ]
-        self.bar_mandates = {}
-        for player in game.players:
-            items = _round_mandates(game, player, run_rounds, False)
-            for it in items:
-                it.label = "restricted-run " + it.label
-            items.extend(_gate_mandates(game, player, base_rounds, False))
-            seen = set()
-            dedup = []
-            for it in items:
-                if it.key() not in seen:
-                    seen.add(it.key())
-                    dedup.append(it)
-            self.bar_mandates[player] = dedup
+        self.bar_mandates = delta_trace.mandates[max(delta_trace.mandates)]
 
     def contains(self, player, cps):
         return beliefs.cps_in_agreement_closure(
@@ -429,7 +383,7 @@ def check_composition_lemma(game, delta_trace, base):
     Returns a list of violation descriptions; empty means the property holds.
     """
     violations = []
-    fixed = {p: base.survivors.strategies(p) for p in game.players}
+    fixed = base.survivors.per_player
     for n, rnd in enumerate(delta_trace.rounds):
         for player in game.players:
             surv = rnd.strategies(player)

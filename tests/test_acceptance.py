@@ -201,18 +201,10 @@ def test_10_grid_oracle_concordance(bribe, bribe_delta, cleo, cleo_nw):
     queries = 0
     off_grid = 0
     for game, delta, trace in runs:
-        gate_rounds = None
-        if trace.base is not None:
-            gate_rounds = [
-                {p: r.strategies(p) for p in game.players}
-                for r in trace.base.rounds
-            ]
+        gate_rounds = trace.base.rounds if trace.base is not None else None
         # One extra pass re-asks the queries that confirmed the fixed point.
         for n in range(1, len(trace.rounds) + 1):
-            history = [
-                {p: r.strategies(p) for p in game.players}
-                for r in trace.rounds[:n]
-            ]
+            history = trace.rounds[:n]
             for player in game.players:
                 mandates = solvers._round_mandates(game, player, history, False)
                 if gate_rounds:

@@ -162,6 +162,24 @@ def test_oracle_check_structured_counts(capsys):
     assert report["queries"] > 0
 
 
+def test_oracle_replay_asks_the_solves_restrictions(capsys):
+    """Rationalizability ignores --restrictions, so the replay must too."""
+    reports = []
+    for extra in ([], ["--restrictions", BRIBE_DELTA]):
+        code, out, _ = run(
+            capsys,
+            "--game", BRIBE,
+            "--procedure", "rationalizability",
+            "--format", "structured",
+            "--oracle-check", "4",
+            *extra,
+        )
+        assert code == 0
+        reports.append(json.loads(out)["oracle_check"])
+    assert reports[0] == reports[1]
+    assert (reports[0]["agree_witness"], reports[0]["agree_none"]) == (13, 4)
+
+
 def test_stability_scenario_passes(capsys, tmp_path):
     """The bundled scenario's first eight checks; the ninth, a slow search
     that must find nothing, is covered by the acceptance suite."""
@@ -237,6 +255,38 @@ def test_correlated_refused_where_ignored(capsys):
             "--procedure", procedure, "--correlated",
         )
         assert code == 0
+
+
+def _refused(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--game", BRIBE] + argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_oracle_check_refused_with_compare(capsys):
+    _refused(
+        capsys,
+        ["--compare", "rationalizability,generalized", "--oracle-check", "4"],
+        "--oracle-check needs --procedure",
+    )
+
+
+def test_oracle_check_refused_with_stability_scenario(capsys):
+    _refused(
+        capsys,
+        ["--stability-scenario", SCENARIO, "--oracle-check", "4"],
+        "--oracle-check needs --procedure",
+    )
+
+
+def test_oracle_check_refuses_an_empty_grid(capsys):
+    for denominator in ("0", "-3"):
+        _refused(
+            capsys,
+            ["--procedure", "rationalizability", "--oracle-check", denominator],
+            "--oracle-check needs a denominator of at least 1",
+        )
 
 
 def test_missing_file_exits_two(capsys):

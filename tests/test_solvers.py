@@ -123,7 +123,11 @@ def test_cleo_se_not_unique(cleo, cleo_se, cleo_base):
     assert len(outs) > 1
 
 
-def test_contradictory_restrictions_empty_not_crash(bribe):
+def test_contradictory_restrictions_empty_not_crash(bribe, bribe_base):
+    """The player's first failed query finds the empty clause polytope. Under
+    selective and no-s3, which start at the base fixed point, a strong-belief
+    obligation can empty an allowed set first; the note and the reasons are
+    the same."""
     text = (
         "player Ann\n"
         "  at ann_root: P[Bob = R] >= 2/3\n"
@@ -131,12 +135,27 @@ def test_contradictory_restrictions_empty_not_crash(bribe):
     )
     delta = dsl.parse_restrictions(text, bribe)
     tr = solvers.strong_delta_rationalizability(bribe, delta)
-    assert names(tr.rounds[1], "Ann") == []
     assert names(tr.survivors, "Bob") == ["A", "R"]
-    assert any("EmptyPolytope" in note for note in tr.notes)
     assert tr.eliminated[1][("Ann", "N.P")] == (
         "restriction clauses at ann_root admit no belief"
     )
+    runs = [
+        tr,
+        solvers.selective_rationalizability(bribe, delta, base=bribe_base),
+        solvers.solve_without_s3(bribe, delta, base=bribe_base),
+    ]
+    for run in runs:
+        assert names(run.rounds[1], "Ann") == []
+        assert run.notes == [
+            "EmptyPolytope: restrictions at ann_root leave Ann no belief; "
+            "all strategies of Ann eliminated in round 1"
+        ]
+        ann = {s for (p, s) in run.eliminated[1] if p == "Ann"}
+        assert ann == set(names(run.rounds[0], "Ann"))
+        for s in ann:
+            assert run.eliminated[1][("Ann", s)] == (
+                "restriction clauses at ann_root admit no belief"
+            )
 
 
 # -- membership variant and preconditions ---------------------------------------
@@ -206,6 +225,30 @@ def test_closure_contains_run_witnesses(cleo, cleo_nw, cleo_base):
             assert impl.contains(p, sel.witnesses[(p, s.name)])
 
 
+def test_closure_reads_the_runs_obligation_tower(
+    bribe, bribe_delta, bribe_base, cleo, cleo_nw, cleo_base
+):
+    """The closure's bar obligations are every obligation the selective run
+    asked in any round. Bribe's run is empty, which rationalize_restrictions
+    refuses, so its closure is built directly."""
+    sel = solvers.selective_rationalizability(cleo, cleo_nw, base=cleo_base)
+    cases = [
+        (sel, solvers.rationalize_restrictions(cleo, cleo_nw, base=cleo_base)),
+    ]
+    sel = solvers.selective_rationalizability(bribe, bribe_delta, base=bribe_base)
+    cases.append(
+        (sel, solvers.ImplicitRestrictions(bribe, bribe_delta, bribe_base, sel))
+    )
+    for run, impl in cases:
+        assert len(run.mandates) > 1
+        for p in run.game.players:
+            asked = {
+                it.key() for n in run.mandates for it in run.mandates[n][p]
+            }
+            assert {it.key() for it in impl.bar_mandates[p]} == asked
+        assert any(impl.bar_mandates[p] for p in run.game.players)
+
+
 # -- splice property ---------------------------------------------------------------
 
 
@@ -235,9 +278,7 @@ def test_correlated_never_smaller(cleo, cleo_nw, cleo_base):
         "selective",
         start=cleo_base.survivors,
         restrictions=cleo_nw,
-        gate_rounds=[
-            {p: r.strategies(p) for p in cleo.players} for r in cleo_base.rounds
-        ],
+        gate_rounds=cleo_base.rounds,
         correlated=True,
     )
     cor = solvers.generalized_solve(spec)
@@ -261,6 +302,12 @@ def test_explain_off_generic_reason(bribe):
     assert {k: w.table for k, w in on.witnesses.items()} == {
         k: w.table for k, w in off.witnesses.items()
     }
+
+
+def test_trace_records_the_restrictions(bribe, bribe_delta):
+    assert solvers.rationalizability(bribe).restrictions is None
+    tr = solvers.strong_delta_rationalizability(bribe, bribe_delta)
+    assert tr.restrictions is bribe_delta
 
 
 def test_no_query_is_asked_twice(bribe, monkeypatch):

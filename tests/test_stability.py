@@ -171,27 +171,6 @@ def test_perturbed_equilibrium_near_sigma(nf, cleo, sigma):
         assert gap <= 1e-2
 
 
-def test_biased_tremble_has_no_equilibrium_near_se(nf, cleo):
-    tremble = {
-        "Ann": mix(cleo, "Ann", {"N.U": 0.25, "N.D": 0.25, "S.U": 0.25, "S.D": 0.25}),
-        "Bob": mix(cleo, "Bob", {"W.L": 0.25, "W.R": 0.25, "E.L": 0.25, "E.R": 0.25}),
-        "Cleo": mix(
-            cleo,
-            "Cleo",
-            {"O.M1": 0.0495, "O.M2": 0.0495, "I.M1": 0.001, "I.M2": 0.9},
-        ),
-    }
-    spec = PerturbationSpec(tremble, 1e-3)
-    pert = perturb_game(nf, spec)
-    # One member of the family; the scenario fixture sweeps all three.
-    target = {
-        "Ann": mix(cleo, "Ann", {"S.D": 1}),
-        "Bob": mix(cleo, "Bob", {"E.R": 1}),
-        "Cleo": mix(cleo, "Cleo", {"O.M1": 1}),
-    }
-    assert find_equilibrium_near(pert, target, epsilon=1e-2) is None
-
-
 def test_search_budget_guard(nf, sigma):
     with pytest.raises(SearchBudgetExceeded):
         find_equilibrium_near(nf, sigma, epsilon=1e-2, budget=1)
