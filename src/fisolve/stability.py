@@ -25,6 +25,13 @@ import math
 import numpy as np
 from scipy.optimize import least_squares
 
+# A support root is accepted when every residual is at most this.
+_RESIDUAL_TOL = 1e-10
+# Rounding allowance for a box vertex's free coordinate (see _box_vertices).
+_VERTEX_SLACK = 1e-12
+# Default largest support size that find_equilibrium_near tries.
+_SUPPORT_CAP = 3
+
 
 class StabilityError(Exception):
     pass
@@ -38,6 +45,8 @@ class MixedStrategy:
     """One player's weights over their full strategies, by strategy name."""
 
     def __init__(self, game, player, weights, tol=1e-12):
+        if player not in game.players:
+            raise StabilityError("unknown player %r" % player)
         names = [s.name for s in game.strategies(player)]
         vec = np.zeros(len(names))
         for name, w in weights.items():
@@ -209,19 +218,103 @@ def _support_orders(n, target_vec, cap):
     return subsets
 
 
+def _box_vertices(target_vec, support, epsilon):
+    """Vertices of the box polytope: mixes on `support` within epsilon of the
+    target in max norm, one full-length vector per row, no rows when it is
+    empty. A vertex has at most one coordinate strictly inside its bounds,
+    so every choice of that coordinate and of lower or upper bounds for the
+    others gives one candidate; a candidate is kept when the sum pins the
+    free coordinate inside its bounds."""
+    n = len(target_vec)
+    if any(target_vec[i] > epsilon for i in range(n) if i not in support):
+        return np.zeros((0, n))
+    lo = [max(float(target_vec[i]) - epsilon, 0.0) for i in support]
+    hi = [min(float(target_vec[i]) + epsilon, 1.0) for i in support]
+    points = set()
+    for free in range(len(support)):
+        bounds = [(lo[i], hi[i]) for i in range(len(support)) if i != free]
+        for corner in itertools.product(*bounds):
+            x = 1.0 - sum(corner)
+            if lo[free] - _VERTEX_SLACK <= x <= hi[free] + _VERTEX_SLACK:
+                points.add(corner[:free] + (x,) + corner[free:])
+    rows = np.zeros((len(points), n))
+    rows[:, list(support)] = np.asarray(sorted(points)).reshape(-1, len(support))
+    return rows
+
+
+def _dominance_margin(nf, support_cap):
+    """The gain above which a pure strategy refutes a support strategy.
+
+    `_solve_support` accepts a root z whose residuals are all within
+    _RESIDUAL_TOL, so at z a support strategy trails any pure strategy by
+    at most 2 * _RESIDUAL_TOL. It then clips and renormalises z, which
+    moves a mix on s strategies by at most (2s + 1) * _RESIDUAL_TOL in L1,
+    and each opponent's move changes a payoff difference by at most twice
+    the largest absolute payoff times that. Ten times the sum of these
+    bounds leaves room for rounding, so no accepted profile has a support
+    strategy trailing by more."""
+    scale = max(float(np.max(np.abs(t))) for t in nf.tensors.values())
+    size = min(support_cap, max(nf.shape))
+    spread = 2.0 * scale * (len(nf.players) - 1) * (2 * size + 1)
+    return 10.0 * _RESIDUAL_TOL * (2.0 + spread)
+
+
+def _dominated(nf, k, vertices, margin):
+    """Player k's strategies that some pure strategy of theirs beats by more
+    than margin at every product of the opponents' box vertices."""
+    nplayers = len(nf.players)
+    operands = [nf.tensors[nf.players[k]], list(range(nplayers))]
+    out = [k]
+    for j, verts in enumerate(vertices):
+        if j != k:
+            operands.extend([verts, [nplayers + j, j]])
+            out.append(nplayers + j)
+    operands.append(out)
+    values = np.einsum(*operands).reshape(nf.shape[k], -1)
+    gain = (values[:, None, :] - values[None, :, :]).min(axis=2)
+    return frozenset(int(i) for i in np.nonzero((gain > margin).any(axis=0))[0])
+
+
 def find_equilibrium_near(
     game_or_nf,
     target,
     epsilon,
     tol=1e-9,
-    support_cap=3,
+    support_cap=_SUPPORT_CAP,
     budget=20000,
 ):
     """Search for a Nash profile within epsilon (max-norm over all pure
     strategy weights) of the target, by support enumeration plus a local
     root find on the indifference and feasibility conditions. Returns a
     profile dict or None. Raises SearchBudgetExceeded when the support
-    grid is larger than the budget."""
+    grid is larger than the budget.
+
+    Support combinations are tried in the order of `itertools.product`
+    over each player's supports of size at most support_cap, and each
+    player's supports run nearest to the target's support first (size of
+    the symmetric difference, then size, then index order). The first
+    combination whose root is Nash and epsilon-close is returned.
+
+    A combination is refuted without a root find when one player's box,
+    the mixes on their support within epsilon of the target, is empty, or
+    when some strategy in a player's support is conditionally dominated:
+    a pure strategy of the same player gains more than a margin over it at
+    every product of the opponents' box vertices. A payoff difference is
+    multilinear in the opponents' mixes, so its minimum over the product
+    of boxes sits at a product of vertices (Porter, Nudelman & Shoham
+    2008, GEB 63), and no accepted root inside the boxes leaves a support
+    strategy that far behind. The margin is derived from the root
+    finder's residual tolerance and the largest absolute payoff (see
+    `_dominance_margin`). Refuted combinations can never return a close
+    profile, so the first hit is the one an unpruned search returns. None
+    means that no combination of supports of size at most support_cap
+    gave a close equilibrium; larger supports are not searched."""
+    return _search(game_or_nf, target, epsilon, tol, support_cap, budget)[0]
+
+
+def _search(game_or_nf, target, epsilon, tol, support_cap, budget):
+    """find_equilibrium_near's search; also returns how many support
+    combinations reached the root finder."""
     nf = _as_nf(game_or_nf)
     target_vecs = _vectors(nf, target)
     orders = [
@@ -236,19 +329,29 @@ def find_equilibrium_near(
             "%d support combinations exceed the budget of %d" % (total, budget)
         )
 
+    boxes = {}
+    dominated = {}
+    margin = _dominance_margin(nf, support_cap)
+    root_finds = 0
     for combo in itertools.product(*orders):
-        # Quick reject: the target puts weight above epsilon outside the
-        # support, so nothing on this support can be epsilon-close.
-        bad = False
+        vertices = []
         for k, supp in enumerate(combo):
-            outside = [
-                i for i in range(nf.shape[k]) if i not in supp
-            ]
-            if outside and float(np.max(target_vecs[k][outside])) > epsilon:
-                bad = True
-                break
-        if bad:
+            if (k, supp) not in boxes:
+                boxes[k, supp] = _box_vertices(target_vecs[k], supp, epsilon)
+            vertices.append(boxes[k, supp])
+        if not all(len(v) for v in vertices):
             continue
+        refuted = False
+        for k, supp in enumerate(combo):
+            key = (k, combo[:k] + combo[k + 1 :])
+            if key not in dominated:
+                dominated[key] = _dominated(nf, k, vertices, margin)
+            if dominated[key].intersection(supp):
+                refuted = True
+                break
+        if refuted:
+            continue
+        root_finds += 1
         found = _solve_support(nf, combo, target_vecs, tol)
         if found is None:
             continue
@@ -258,7 +361,7 @@ def find_equilibrium_near(
         )
         if not close:
             continue
-        return {
+        profile = {
             p: MixedStrategy(
                 nf.game,
                 p,
@@ -270,7 +373,8 @@ def find_equilibrium_near(
             )
             for k, p in enumerate(nf.players)
         }
-    return None
+        return profile, root_finds
+    return None, root_finds
 
 
 def _solve_support(nf, supports, target_vecs, tol):
@@ -315,7 +419,7 @@ def _solve_support(nf, supports, target_vecs, tol):
             w = w / s
         start.extend(w)
     sol = least_squares(residual, np.asarray(start), xtol=1e-14, ftol=1e-14, gtol=1e-14)
-    if float(np.max(np.abs(residual(sol.x)))) > 1e-10:
+    if float(np.max(np.abs(residual(sol.x)))) > _RESIDUAL_TOL:
         return None
     vecs = unpack(sol.x)
     vecs = [np.clip(v, 0.0, None) for v in vecs]
@@ -374,19 +478,37 @@ def _profile_from_doc(game, doc):
     }
 
 
+# The fields each scenario check kind needs; "tol" is optional.
+_CHECK_FIELDS = {
+    "nash": ("profile",),
+    "indifference": ("profile", "player", "between"),
+    "perturbed-equilibrium": ("targets", "tremble", "delta", "epsilon", "expect"),
+}
+
+
 def run_scenario(game, scenario):
     """Execute scenario checks; returns rows (description, passed, detail)."""
     profiles = {
         name: _profile_from_doc(game, doc)
         for name, doc in scenario.get("profiles", {}).items()
     }
+
+    def profile(name):
+        if name not in profiles:
+            raise StabilityError("unknown profile %r" % name)
+        return profiles[name]
+
     rows = []
     for check in scenario.get("checks", ()):
-        kind = check["check"]
+        kind = check.get("check")
+        if kind not in _CHECK_FIELDS:
+            raise StabilityError("unknown check kind %r" % kind)
+        missing = [f for f in _CHECK_FIELDS[kind] if f not in check]
+        if missing:
+            raise StabilityError("%s check lacks %s" % (kind, ", ".join(missing)))
         if kind == "nash":
             tol = float(check.get("tol", 1e-9))
-            profile = profiles[check["profile"]]
-            ok, regrets = is_nash(game, profile, tol)
+            ok, regrets = is_nash(game, profile(check["profile"]), tol)
             worst = max(regrets.values())
             rows.append((
                 "nash %s (tol %g)" % (check["profile"], tol),
@@ -395,41 +517,55 @@ def run_scenario(game, scenario):
             ))
         elif kind == "indifference":
             tol = float(check.get("tol", 1e-9))
-            profile = profiles[check["profile"]]
             player = check["player"]
-            values = pure_values(game, profile, player)
+            if player not in game.players:
+                raise StabilityError("unknown player %r" % player)
+            values = pure_values(game, profile(check["profile"]), player)
             names = [s.name for s in game.strategies(player)]
             a, b = check["between"]
+            for name in (a, b):
+                if name not in names:
+                    raise StabilityError(
+                        "%s has no strategy named %s" % (player, name)
+                    )
             gap = abs(values[names.index(a)] - values[names.index(b)])
             rows.append((
                 "indifference %s: %s vs %s" % (check["profile"], a, b),
-                gap < tol,
+                bool(gap < tol),
                 "gap %.3g" % gap,
             ))
         elif kind == "perturbed-equilibrium":
+            expect = check["expect"]
+            if expect not in ("found", "none"):
+                raise StabilityError(
+                    "expect must be \"found\" or \"none\", not %r" % expect
+                )
+            targets = [profile(name) for name in check["targets"]]
             tremble = _profile_from_doc(game, check["tremble"])
             delta = float(check["delta"])
             eps = float(check["epsilon"])
             spec = PerturbationSpec(tremble, delta, delta0=delta, epsilon=eps)
             perturbed = perturb_game(game, spec)
-            expect = check["expect"]
+            details = []
             hits = []
-            for name in check["targets"]:
-                found = find_equilibrium_near(perturbed, profiles[name], eps)
-                hits.append((name, found))
-            if expect == "found":
-                ok = all(f is not None for _, f in hits)
-            else:
-                ok = all(f is None for _, f in hits)
-            detail = ", ".join(
-                "%s:%s" % (n, "hit" if f is not None else "none") for n, f in hits
-            )
+            for name, target in zip(check["targets"], targets):
+                found, root_finds = _search(
+                    perturbed, target, eps, 1e-9, _SUPPORT_CAP, 20000
+                )
+                hits.append(found is not None)
+                if found is not None:
+                    details.append("%s:hit" % name)
+                elif root_finds == 0:
+                    details.append(
+                        "%s:none (every support <= %d refuted)" % (name, _SUPPORT_CAP)
+                    )
+                else:
+                    details.append("%s:none (not found)" % name)
+            ok = all(hits) if expect == "found" else not any(hits)
             rows.append((
                 "perturbed equilibrium near {%s} delta %g eps %g expect %s"
                 % (",".join(check["targets"]), delta, eps, expect),
                 ok,
-                detail,
+                ", ".join(details),
             ))
-        else:
-            raise StabilityError("unknown check kind %r" % kind)
     return rows

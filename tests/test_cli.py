@@ -180,28 +180,32 @@ def test_oracle_replay_asks_the_solves_restrictions(capsys):
     assert (reports[0]["agree_witness"], reports[0]["agree_none"]) == (13, 4)
 
 
-def test_stability_scenario_passes(capsys, tmp_path):
-    """The bundled scenario's first eight checks; the ninth, a slow search
-    that must find nothing, is covered by the acceptance suite."""
-    doc = json.loads((GAMES / "cleo_stability.scenario").read_text())
-    doc["checks"] = doc["checks"][:8]
-    path = tmp_path / "first8.scenario"
-    path.write_text(json.dumps(doc))
-    code, out, _ = run(capsys, "--game", CLEO, "--stability-scenario", str(path))
+SIGMA = {
+    "Ann": {"N.U": "1 - 1/sqrt(2)", "N.D": "1/sqrt(2)"},
+    "Bob": {"W.L": "1 - 1/sqrt(2)", "W.R": "1/sqrt(2)"},
+    "Cleo": {"O.M1": 1},
+}
+
+
+def test_stability_scenario_passes(capsys):
+    code, out, _ = run(capsys, "--game", CLEO, "--stability-scenario", SCENARIO)
     assert code == 0
-    assert "8/8 checks passed" in out
+    assert "9/9 checks passed" in out
     assert "FAIL" not in out
+    assert "se_pure:none (every support <= 3 refuted)" in out
+    code, out, _ = run(
+        capsys, "--game", CLEO, "--stability-scenario", SCENARIO,
+        "--format", "structured",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["schema"] == "fisolve.stability/1" and doc["all_passed"] is True
+    assert [c["detail"] for c in doc["checks"]][7] == "sigma:hit"
 
 
 def test_stability_failing_check_exits_one(capsys, tmp_path):
     doc = {
-        "profiles": {
-            "sigma": {
-                "Ann": {"N.U": "1 - 1/sqrt(2)", "N.D": "1/sqrt(2)"},
-                "Bob": {"W.L": "1 - 1/sqrt(2)", "W.R": "1/sqrt(2)"},
-                "Cleo": {"O.M1": 1},
-            }
-        },
+        "profiles": {"sigma": SIGMA},
         "checks": [
             {"check": "indifference", "profile": "sigma", "player": "Cleo",
              "between": ["O.M1", "I.M2"], "tol": 1e-9}
@@ -213,6 +217,37 @@ def test_stability_failing_check_exits_one(capsys, tmp_path):
     assert code == 1
     assert "FAIL" in out
     assert "0/1 checks passed" in out
+
+
+def _scenario_error(capsys, tmp_path, check, message):
+    path = tmp_path / "bad.scenario"
+    path.write_text(json.dumps({"profiles": {"sigma": SIGMA}, "checks": [check]}))
+    code, out, err = run(capsys, "--game", CLEO, "--stability-scenario", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_stability_scenario_rejects_unknown_expect(capsys, tmp_path):
+    bundled = json.loads((GAMES / "cleo_stability.scenario").read_text())
+    check = dict(bundled["checks"][7], expect="nothing")
+    _scenario_error(capsys, tmp_path, check, "expect must be")
+
+
+def test_stability_scenario_rejects_unknown_profile(capsys, tmp_path):
+    check = {"check": "nash", "profile": "sigma_star", "tol": 1e-9}
+    _scenario_error(capsys, tmp_path, check, "unknown profile 'sigma_star'")
+
+
+def test_stability_scenario_rejects_missing_field(capsys, tmp_path):
+    check = {"check": "indifference", "profile": "sigma", "tol": 1e-9}
+    _scenario_error(capsys, tmp_path, check, "indifference check lacks player, between")
+
+
+def test_stability_scenario_rejects_unknown_strategy(capsys, tmp_path):
+    check = {"check": "indifference", "profile": "sigma", "player": "Cleo",
+             "between": ["O.M1", "I.M3"], "tol": 1e-9}
+    _scenario_error(capsys, tmp_path, check, "Cleo has no strategy named I.M3")
 
 
 # -- error paths -----------------------------------------------------------------

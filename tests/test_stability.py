@@ -1,11 +1,14 @@
 """Normal-form reduction, equilibrium checks and the perturbation lab."""
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fisolve import dsl, stability
 from fisolve.stability import (
     MixedStrategy,
     PerturbationSpec,
@@ -15,10 +18,13 @@ from fisolve.stability import (
     find_equilibrium_near,
     is_nash,
     normal_form,
+    parse_scenario,
     perturb_game,
     pure_values,
     run_scenario,
 )
+
+from conftest import read
 
 
 W = 1 - 1 / math.sqrt(2)
@@ -57,6 +63,8 @@ def test_mixed_strategy_validation(bribe):
     assert m.as_dict() == {"N.P": 0.75, "B.I": 0.25}
     with pytest.raises(StabilityError):
         mix(bribe, "Ann", {"Z": 1})
+    with pytest.raises(StabilityError):
+        mix(bribe, "Zed", {"B.I": 1})
     with pytest.raises(StabilityError):
         mix(bribe, "Ann", {"B.I": 0.5})
     with pytest.raises(StabilityError):
@@ -171,6 +179,49 @@ def test_perturbed_equilibrium_near_sigma(nf, cleo, sigma):
         assert gap <= 1e-2
 
 
+def test_biased_tremble_refutes_every_support_near_se(nf, cleo, sigma, monkeypatch):
+    """The scenario's ninth check: with Cleo trembling mostly onto I.M2, no
+    support combination near the three SE profiles survives conditional
+    dominance, so none reaches the root finder; sigma is still found."""
+    calls = []
+    real = stability.least_squares
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "least_squares", counted)
+    scenario = parse_scenario(read("cleo_stability.scenario"))
+    check = scenario["checks"][8]
+    tremble = stability._profile_from_doc(cleo, check["tremble"])
+    pert = perturb_game(nf, PerturbationSpec(tremble, check["delta"]))
+    for name in ("se_low", "se_high", "se_pure"):
+        target = stability._profile_from_doc(cleo, scenario["profiles"][name])
+        assert find_equilibrium_near(pert, target, epsilon=1e-2) is None
+    assert calls == []
+    assert find_equilibrium_near(pert, sigma, epsilon=1e-2) is not None
+    assert len(calls) >= 1
+
+
+def test_box_vertices():
+    """Mixes on a support within epsilon of the target: a hexagon here; empty
+    when the target puts more than epsilon outside the support or the
+    support cannot carry enough mass."""
+    target = np.array([0.5, 0.3, 0.2, 0.0])
+    got = stability._box_vertices(target, (0, 1, 2), 0.1)
+    hexagon = [
+        (0.4, 0.3, 0.3, 0), (0.4, 0.4, 0.2, 0), (0.5, 0.2, 0.3, 0),
+        (0.5, 0.4, 0.1, 0), (0.6, 0.2, 0.2, 0), (0.6, 0.3, 0.1, 0),
+    ]
+    assert np.allclose(got, hexagon, atol=1e-12)
+    assert len(stability._box_vertices(target, (0, 1), 0.1)) == 0
+    spread = np.array([0.7, 0.1, 0.1, 0.1])
+    assert len(stability._box_vertices(spread, (0,), 0.1)) == 0
+    assert np.array_equal(
+        stability._box_vertices(np.array([1.0, 0.0]), (0,), 0.01), [[1.0, 0.0]]
+    )
+
+
 def test_search_budget_guard(nf, sigma):
     with pytest.raises(SearchBudgetExceeded):
         find_equilibrium_near(nf, sigma, epsilon=1e-2, budget=1)
@@ -180,3 +231,175 @@ def test_scenario_rejects_unknown_check(cleo):
     doc = {"profiles": {}, "checks": [{"check": "subgame-perfect"}]}
     with pytest.raises(StabilityError):
         run_scenario(cleo, json.loads(json.dumps(doc)))
+
+
+# -- conditional dominance never refutes a hit -------------------------------------
+
+
+def _simultaneous_game(sizes, payoffs):
+    """Player k picks one of sizes[k] actions without seeing the earlier
+    moves; payoffs list the action profiles in lexicographic order."""
+    players = ["P%d" % (k + 1) for k in range(len(sizes))]
+    lines = ["game nf", "players %s" % " ".join(players), "tree", "  node n owner P1"]
+    pools = [[] for _ in sizes]
+    cells = iter(payoffs)
+
+    def grow(k, name, indent):
+        pad = "  " * indent
+        for a in range(sizes[k]):
+            label = "%s%d" % ("abc"[k], a)
+            if k + 1 == len(sizes):
+                leaf = ", ".join(str(v) for v in next(cells))
+                lines.append("%s%s -> leaf (%s)" % (pad, label, leaf))
+            else:
+                child = "%s%d" % (name, a)
+                pools[k + 1].append(child)
+                lines.append(
+                    "%s%s -> node %s owner %s" % (pad, label, child, players[k + 1])
+                )
+                grow(k + 1, child, indent + 1)
+
+    grow(0, "n", 2)
+    lines.append("infosets")
+    for k in range(1, len(sizes)):
+        lines.append("  h%d: %s { %s }" % (k, players[k], " ".join(pools[k])))
+    return dsl.parse_game("\n".join(lines) + "\n")
+
+
+@st.composite
+def lab_cases(draw):
+    """A trembled random normal form, a pure or mixed target, an epsilon.
+    Three-player forms stop at three strategies each, so that the unpruned
+    reference search stays within a second."""
+    nplayers = draw(st.sampled_from((2, 3)))
+    most = 4 if nplayers == 2 else 3
+    sizes = [draw(st.integers(2, most)) for _ in range(nplayers)]
+    cells = int(np.prod(sizes))
+    payoffs = draw(
+        st.lists(
+            st.tuples(*[st.integers(0, 6)] * nplayers), min_size=cells, max_size=cells
+        )
+    )
+    game = _simultaneous_game(sizes, payoffs)
+    target = {}
+    for p, n in zip(game.players, sizes):
+        if draw(st.booleans()):
+            raw = [0] * n
+            raw[draw(st.integers(0, n - 1))] = 1
+        else:
+            raw = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any))
+        names = [s.name for s in game.strategies(p)]
+        target[p] = mix(game, p, {a: w / sum(raw) for a, w in zip(names, raw)})
+    spec = PerturbationSpec(uniform_tremble(game), 1e-3)
+    pert = perturb_game(game, spec)
+    # Most random targets are far from every equilibrium. Pulling some onto
+    # or near one puts hits and near misses at the edge of the box. The
+    # anchor is a root on up to three strategies each when there is one,
+    # else the first hit from the uniform profile, which tries the widest
+    # supports first.
+    pull = draw(st.sampled_from((None, 1.0, 0.95, 0.7)))
+    anchor = None
+    if pull:
+        uniform = uniform_tremble(game)
+        support = tuple(tuple(range(min(n, 3))) for n in sizes)
+        vecs = stability._vectors(pert, uniform)
+        anchor = stability._solve_support(pert, support, vecs, 1e-9)
+        if anchor is None:
+            found = find_equilibrium_near(pert, uniform, 1.0)
+            if found is not None:
+                anchor = [found[p].vector for p in game.players]
+    if anchor is not None:
+        target = {
+            p: mix(game, p, {
+                s.name: pull * anchor[k][s.index] + (1 - pull) * target[p].weight(s.name)
+                for s in game.strategies(p)
+            })
+            for k, p in enumerate(game.players)
+        }
+    epsilon = draw(st.sampled_from((0.01, 0.1, 0.5)))
+    return pert, target, epsilon, draw(st.randoms(use_true_random=False))
+
+
+def _close_root(nf, combo, vecs, epsilon):
+    found = stability._solve_support(nf, combo, vecs, 1e-9)
+    if found is None:
+        return None
+    if all(np.max(np.abs(f - v)) <= epsilon for f, v in zip(found, vecs)):
+        return found
+    return None
+
+
+def _unpruned(nf, target, epsilon):
+    """The search before refutation: only the quick reject of target mass
+    above epsilon outside the support, then a root find per combination."""
+    vecs = stability._vectors(nf, target)
+    orders = [
+        stability._support_orders(nf.shape[k], vecs[k], 3)
+        for k in range(len(nf.players))
+    ]
+    for combo in itertools.product(*orders):
+        if any(
+            max((vecs[k][i] for i in range(nf.shape[k]) if i not in supp), default=0.0)
+            > epsilon
+            for k, supp in enumerate(combo)
+        ):
+            continue
+        found = _close_root(nf, combo, vecs, epsilon)
+        if found is not None:
+            return {
+                p: {s.name: float(found[k][s.index])
+                    for s in nf.game.strategies(p) if found[k][s.index] > 0}
+                for k, p in enumerate(nf.players)
+            }
+    return None
+
+
+def _refuted(nf, combo, vecs, epsilon):
+    boxes = [
+        stability._box_vertices(vecs[k], supp, epsilon) for k, supp in enumerate(combo)
+    ]
+    if any(len(b) == 0 for b in boxes):
+        return True
+    margin = stability._dominance_margin(nf, 3)
+    return any(
+        stability._dominated(nf, k, boxes, margin).intersection(supp)
+        for k, supp in enumerate(combo)
+    )
+
+
+def test_gain_within_root_tolerance_is_not_refuted():
+    """a1 beats a0 by 1e-11 everywhere, below the root finder's 1e-10
+    residual tolerance, so the root finder accepts the even mix; the margin
+    must keep that support."""
+    tiny = "100000000001/100000000000"
+    game = _simultaneous_game([2, 2], [(1, 0), (1, 0), (tiny, 0), (tiny, 0)])
+    target = {"P1": mix(game, "P1", {"a0": 0.5, "a1": 0.5}),
+              "P2": mix(game, "P2", {"b0": 1.0})}
+    found = find_equilibrium_near(game, target, 0.1)
+    assert found is not None
+    assert found["P1"].as_dict() == {"a0": 0.5, "a1": 0.5}
+
+
+@given(case=lab_cases())
+@settings(max_examples=20, deadline=None)
+def test_refutation_is_sound(case):
+    """The pruned search returns what the unpruned one returns, and up to
+    five sampled refuted combinations have no close root either."""
+    nf, target, epsilon, rng = case
+    found = find_equilibrium_near(nf, target, epsilon)
+    expected = _unpruned(nf, target, epsilon)
+    if expected is None:
+        assert found is None
+    else:
+        assert {p: m.as_dict() for p, m in found.items()} == expected
+    vecs = stability._vectors(nf, target)
+    orders = [
+        stability._support_orders(nf.shape[k], vecs[k], 3)
+        for k in range(len(nf.players))
+    ]
+    refuted = [
+        combo for combo in itertools.product(*orders)
+        if _refuted(nf, combo, vecs, epsilon)
+    ]
+    for combo in rng.sample(refuted, min(5, len(refuted))):
+        assert _close_root(nf, combo, vecs, epsilon) is None
