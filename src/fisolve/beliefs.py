@@ -19,8 +19,18 @@ slack. Float proposes, rational checks (`lp.positive_max`): a pattern is
 refuted only by a float dual certificate that passed an exact rational
 check, and a strictly positive max-slack is confirmed by the exact simplex,
 whose solution is the witness. Patterns are few because the forests of real
-games are shallow. Before any LP, a query tries the lexicographic point
-systems, which settle most kept strategies by set lookups alone.
+games are shallow.
+
+A query decides in this order: an empty allowed set refutes; pure
+conditional dominance refutes; a lexicographic point system keeps; the
+pattern LPs decide the rest. Dominance means some alternative at a reached
+infoset earns strictly more than the strategy at every combo its event group
+may believe. It is sound because mandates and support clauses are folded
+into the allowed sets, so every admissible conditional of that group puts
+all its mass where the alternative is strictly better (Pearce 1984). Both
+early exits are exact comparisons and set lookups, with no LP; only the
+point and pattern steps produce witnesses. `COUNTS` records which step
+after the allowed-set check settled each query.
 
 The same machinery answers a coupled query used when restrictions are given
 implicitly as "agrees on a set of events with some member of a smaller CPS
@@ -38,6 +48,18 @@ from . import lp
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# How `_admissible` settled its queries past the empty-allowed-set check: by
+# pure conditional dominance ("dominated"), by a lexicographic point system
+# ("point"), or by the pattern LPs ("patterns_kept", "patterns_refuted").
+COUNTS = dict.fromkeys(
+    ("dominated", "point", "patterns_kept", "patterns_refuted"), 0
+)
+
+
+def reset_counts():
+    for k in COUNTS:
+        COUNTS[k] = 0
 
 
 class BeliefError(Exception):
@@ -597,25 +619,58 @@ def _good_points(bundle, g):
     return good
 
 
+def _dominated(space, bundle):
+    """True when some rationality row of the bundle is strictly negative at
+    every combo its group may believe: the allowed set, else the whole
+    event. Exact comparisons only; no LP."""
+    for gi, diffs in bundle.rationality.items():
+        ts = bundle.allowed.get(gi)
+        if ts is None:
+            ts = space.groups[gi].event
+        for diff in diffs:
+            if all(diff.get(t, ZERO) < 0 for t in ts):
+                return True
+    return False
+
+
 def _admissible(game, player, bundles, shared=frozenset()):
     """The query pipeline behind every public query: one system per bundle
     (slot), equal on the shared groups, or None when none exists.
 
-    Steps: an empty allowed set refutes at once; then a lexicographic point
-    system satisfying every bundle serves all slots; then the exact pattern
-    search, whose answer is verified.
+    Agreement events that are not upward-closed are refused first. Then, in
+    order: an empty allowed set refutes at once; pure conditional dominance
+    on one group refutes without an LP (sound because mandates and support
+    clauses are folded into the allowed sets, so every admissible
+    conditional of the group lives where the alternative is strictly
+    better); a lexicographic point system satisfying every bundle serves all
+    slots; last, the exact pattern LPs, whose answer is verified. Only
+    refutations take the dominance exit, so witnesses do not depend on it.
     """
     space = space_for(game, player)
+    for gi in shared:
+        p = space.parent[gi]
+        if p is not None and p not in shared:
+            raise UnsupportedBeliefStructure(
+                "agreement events are not upward-closed in the inclusion forest"
+            )
     for b in bundles:
         if not all(b.allowed.values()):
+            return None
+    for b in bundles:
+        if _dominated(space, b):
+            COUNTS["dominated"] += 1
             return None
     merged = _merged(space, bundles)
     if all(merged.allowed.values()):
         cps = _point_witness(space, merged)
         if cps is not None:
+            COUNTS["point"] += 1
             return [cps] * len(bundles)
     found = _solve_patterns(space, bundles, shared)
-    if found is not None:
+    if found is None:
+        COUNTS["patterns_refuted"] += 1
+    else:
+        COUNTS["patterns_kept"] += 1
         _verify(game, player, bundles, shared, found)
     return found
 
@@ -626,14 +681,6 @@ def _solve_patterns(space, bundles, shared):
     per slot) or None."""
     groups = space.groups
     nslots = len(bundles)
-
-    for gi in shared:
-        p = space.parent[gi]
-        if p is not None and p not in shared:
-            raise UnsupportedBeliefStructure(
-                "agreement events are not upward-closed in the inclusion forest"
-            )
-
     order = [g.index for g in groups]  # already topological (size-sorted)
 
     # One assignment = for every slot and group, the block whose restriction
@@ -655,7 +702,8 @@ def _solve_patterns(space, bundles, shared):
         # Per-slot flags: 1 inherits the parent's block (positive mass on the
         # event), 0 restarts on a fresh block (the parent gives the event zero
         # mass). Slots sharing one parent block choose together; roots
-        # restart. A shared group never has diverged parents (guard above).
+        # restart. A shared group never has diverged parents (upward closure
+        # is checked in _admissible).
         if par is None:
             choices = [(0,) * nslots]
         elif len({block_of[(s, par)] for s in range(nslots)}) == 1:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from fisolve import beliefs, dsl, lp
+from fisolve import beliefs, dsl, lp, solvers
 
 
 # A game whose conditioning events do not form a forest under inclusion:
@@ -255,10 +255,8 @@ def test_witness_respects_restrictions(bribe, bribe_delta):
     )
 
 
-def test_point_path_query_solves_no_lp(bribe, bribe_delta, monkeypatch):
-    """The empty-polytope check runs only when a query fails, so a
-    restricted query that a point system settles runs no LP at all, on
-    neither the float nor the exact path."""
+def _count_lp_calls(monkeypatch):
+    """Record every lp.solve and lp.positive_max call from now on."""
     calls = []
 
     def counting(name):
@@ -272,11 +270,61 @@ def test_point_path_query_solves_no_lp(bribe, bribe_delta, monkeypatch):
 
     for name in ("solve", "positive_max"):
         monkeypatch.setattr(lp, name, counting(name))
+    return calls
+
+
+def test_point_path_query_solves_no_lp(bribe, bribe_delta, monkeypatch):
+    """The empty-polytope check runs only when a query fails, so a
+    restricted query that a point system settles runs no LP at all, on
+    neither the float nor the exact path."""
+    calls = _count_lp_calls(monkeypatch)
     cps = beliefs.exists_admissible_cps(
         bribe, "Ann", strat(bribe, "Ann", "N.P"), (), bribe_delta
     )
     assert cps is not None
     assert calls == []
+
+
+def test_dominated_query_solves_no_lp(bribe, monkeypatch):
+    """B.P loses to B.I wherever ann_after_ba is reached; under strong
+    belief in Bob = A, N.P loses to B.I at the root. Both are refuted by
+    pure conditional dominance, before any LP."""
+    bob_a = strat(bribe, "Bob", "A")
+    sb_a = beliefs.strong_belief_mandate(bribe, "Ann", "sb A", "Bob", [bob_a])
+    calls = _count_lp_calls(monkeypatch)
+    assert beliefs.exists_admissible_cps(bribe, "Ann", strat(bribe, "Ann", "B.P")) is None
+    assert (
+        beliefs.exists_admissible_cps(bribe, "Ann", strat(bribe, "Ann", "N.P"), [sb_a])
+        is None
+    )
+    assert calls == []
+
+
+def test_decision_path_counts(bribe):
+    """Each query that passes the allowed-set check is counted once, by the
+    step that settled it."""
+    b_i = strat(bribe, "Ann", "B.I")
+
+    def capped(cap):
+        return dsl.parse_restrictions(
+            "player Ann\n  at ann_root: P[Bob = A] <= %s\n" % cap, bribe
+        )
+
+    cases = [
+        (strat(bribe, "Ann", "B.P"), None, "dominated"),
+        (strat(bribe, "Ann", "N.P"), None, "point"),
+        (b_i, capped("2/3"), "patterns_kept"),
+        (b_i, capped("665/1000"), "patterns_refuted"),
+    ]
+    for s, rest, path in cases:
+        beliefs.reset_counts()
+        cps = beliefs.exists_admissible_cps(bribe, "Ann", s, (), rest)
+        assert (cps is not None) == (path in ("point", "patterns_kept"))
+        assert beliefs.COUNTS == dict(dict.fromkeys(beliefs.COUNTS, 0), **{path: 1})
+    beliefs.reset_counts()
+    solvers.rationalizability(bribe)
+    assert beliefs.COUNTS["dominated"] > 0
+    assert beliefs.COUNTS["point"] > 0
 
 
 def test_bribe_threshold_is_exact(bribe, monkeypatch):
@@ -363,20 +411,32 @@ def test_coupled_pair_agreement_binds(bribe):
 
 
 def test_agreement_must_be_upward_closed(bribe):
-    bob_r = strat(bribe, "Bob", "R")
-    bob_a = strat(bribe, "Bob", "A")
-    sb_r = beliefs.strong_belief_mandate(bribe, "Ann", "sb R", "Bob", [bob_r])
-    sb_a = beliefs.strong_belief_mandate(bribe, "Ann", "sb A", "Bob", [bob_a])
-    with pytest.raises(beliefs.UnsupportedBeliefStructure):
-        beliefs.coupled_admissible_pair(
-            bribe,
-            "Ann",
-            strat(bribe, "Ann", "N.P"),
-            [sb_r],
-            [sb_a],
-            None,
-            ("ann_after_ba",),
+    """Agreement on ann_after_ba but not on its parent event is refused
+    before any early exit: where the pattern search runs (N.P under sb R /
+    sb A), where a point system exists (N.P, B.I) and where dominance
+    refutes (B.P)."""
+
+    def sb(name):
+        return beliefs.strong_belief_mandate(
+            bribe, "Ann", "sb " + name, "Bob", [strat(bribe, "Bob", name)]
         )
+
+    for ann, mu, bar in (
+        ("N.P", "R", "A"),
+        ("N.P", "R", "R"),
+        ("B.I", "A", "A"),
+        ("B.P", "A", "A"),
+    ):
+        with pytest.raises(beliefs.UnsupportedBeliefStructure):
+            beliefs.coupled_admissible_pair(
+                bribe,
+                "Ann",
+                strat(bribe, "Ann", ann),
+                [sb(mu)],
+                [sb(bar)],
+                None,
+                ("ann_after_ba",),
+            )
 
 
 def test_agreement_closure_membership(bribe, bribe_delta):

@@ -4,6 +4,8 @@ Seeds drive the generator directly, so shrinking lands on a reproducible
 game rather than a mangled tree.
 """
 
+from unittest import mock
+
 from hypothesis import given, settings, strategies as st
 
 from fisolve import beliefs, dsl, randgen, solvers
@@ -147,3 +149,38 @@ def test_solver_runs_are_deterministic(seed):
     one = dsl.serialize_solution(solvers.rationalizability(game))
     two = dsl.serialize_solution(solvers.rationalizability(game))
     assert one == two
+
+
+@given(seed=st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_dominance_exit_never_changes_an_answer(seed):
+    """Pure conditional dominance refutes only what the pattern search
+    refutes: solves with the check switched off serialize identically, and
+    no bundle it refutes has a pattern solution."""
+    game = randgen.random_game(seed, max_strategies=6)
+    dominated = beliefs._dominated
+    pattern_answers = []
+
+    def checked(space, bundle):
+        hit = dominated(space, bundle)
+        if hit:
+            pattern_answers.append(
+                beliefs._solve_patterns(space, [bundle], frozenset())
+            )
+        return hit
+
+    def solve_all():
+        base = solvers.rationalizability(game)
+        traces = [base]
+        delta = randgen.random_point_restrictions(seed + 1, game, base)
+        if delta is not None:
+            traces.append(solvers.selective_rationalizability(game, delta, base=base))
+            traces.append(solvers.strong_delta_rationalizability(game, delta))
+        return [dsl.serialize_solution(t) for t in traces]
+
+    with mock.patch.object(beliefs, "_dominated", checked):
+        with_check = solve_all()
+    with mock.patch.object(beliefs, "_dominated", lambda space, bundle: False):
+        without_check = solve_all()
+    assert with_check == without_check
+    assert pattern_answers == [None] * len(pattern_answers)
