@@ -32,6 +32,15 @@ early exits are exact comparisons and set lookups, with no LP; only the
 point and pattern steps produce witnesses. `COUNTS` records which step
 after the allowed-set check settled each query.
 
+Payoffs come from the game's exact payoff table (`GameTree.payoff_table`),
+built in one walk of the tree: per player, Python-int numerators over the
+strategy profiles and one common denominator L > 0. A rationality row is
+the difference of two integer rows, L * (u(s, .) - u(alt, .)). Dominance
+and point checks read its signs, and the optimality checks compare two
+expectations under the same weights, so the factor L changes none of them.
+Only the pattern LP divides by L, so its coefficients are the payoff
+differences themselves.
+
 The same machinery answers a coupled query used when restrictions are given
 implicitly as "agrees on a set of events with some member of a smaller CPS
 set": two belief systems, each with its own obligations, tied together by
@@ -160,31 +169,23 @@ class BeliefSpace:
             h: frozenset(s.index for s in game.strategies_reaching(player, h))
             for h in self.infosets
         }
-        self.own = game.strategies(player)
-        self._payoff = {}
-        self._pi = game.players.index(player)
+        # numerators[s][t] / denominator = u_i(own strategy s, combo t).
+        table = game.payoff_table()
+        self.denominator = table.denominators[game.players.index(player)]
+        self.numerators = table.rows(player)
         self._rationality = {}
-
-    def payoff(self, own_index, t):
-        """u_i of the profile (own strategy, opponent combo t)."""
-        key = (own_index, t)
-        v = self._payoff.get(key)
-        if v is None:
-            combo = self.combos[t]
-            prof = {s.player: s for s in combo}
-            prof[self.player] = self.own[own_index]
-            leaf = self.game.outcome(prof)
-            v = leaf.payoffs[self._pi]
-            self._payoff[key] = v
-        return v
+        self._empty = {}  # clause map -> first empty infoset or None
 
     def rationality_rows(self, own_index):
         """(group index, diff) for every own infoset the strategy reaches and
-        every alternative there, where diff[t] = u(own, t) - u(alt, t) over
-        the infoset's event, nonzero entries only. Cached; callers must not
-        mutate the diffs."""
+        every alternative there, where diff[t] = L * (u(own, t) - u(alt, t))
+        over the infoset's event, an integer, nonzero entries only. L > 0 is
+        the table's denominator, so signs and comparisons of sums with equal
+        weights are those of the payoff differences. Cached; callers must
+        not mutate the diffs."""
         rows = self._rationality.get(own_index)
         if rows is None:
+            mine = self.numerators[own_index]
             rows = []
             for h in self.infosets:
                 if own_index not in self.reach[h]:
@@ -192,11 +193,10 @@ class BeliefSpace:
                 for alt in sorted(self.reach[h]):
                     if alt == own_index:
                         continue
-                    diff = {}
-                    for t in self.event[h]:
-                        d = self.payoff(own_index, t) - self.payoff(alt, t)
-                        if d:
-                            diff[t] = d
+                    other = self.numerators[alt]
+                    diff = {
+                        t: mine[t] - other[t] for t in self.event[h] if mine[t] != other[t]
+                    }
                     rows.append((self.group_of[h], diff))
             self._rationality[own_index] = rows
         return rows
@@ -417,19 +417,17 @@ def strongly_believes(game, player, cps, item_or_opponent, targets=None):
 
 
 def sequential_best_reply(game, player, strategy, cps):
-    """Def.-2 optimality: best at every own infoset the strategy reaches."""
+    """Def.-2 optimality: best at every own infoset the strategy reaches.
+    Compares expected payoff numerators, all over the same denominator."""
     sp = space_for(game, player)
-    si = strategy.index
     for h in sp.infosets:
-        if si not in sp.reach[h]:
-            continue
-        row = cps.table[h]
-        mine = sum((w * sp.payoff(si, t) for t, w in row.items()), ZERO)
-        for alt in sp.reach[h]:
-            if alt == si:
-                continue
-            val = sum((w * sp.payoff(alt, t) for t, w in row.items()), ZERO)
-            if val > mine:
+        if strategy.index in sp.reach[h]:
+            row = cps.table[h]
+            value = {
+                s: sum((w * sp.numerators[s][t] for t, w in row.items()), ZERO)
+                for s in sp.reach[h]
+            }
+            if max(value.values()) > value[strategy.index]:
                 return False
     return True
 
@@ -628,7 +626,7 @@ def _dominated(space, bundle):
         if ts is None:
             ts = space.groups[gi].event
         for diff in diffs:
-            if all(diff.get(t, ZERO) < 0 for t in ts):
+            if all(diff.get(t, 0) < 0 for t in ts):
                 return True
     return False
 
@@ -817,7 +815,7 @@ def _solve_one(space, bundles, block_of, fresh, zero_rows, eps_rows):
                 for t, d in diff.items():
                     col = term(key, t)
                     if col is not None:
-                        r[col] = d
+                        r[col] = Fraction(d, space.denominator)
                 rows.append((r, lp.GE, ZERO))
 
     x = lp.positive_max(ncols, {eps: ONE}, rows)
@@ -893,10 +891,18 @@ def _clause_map(game, player, restrictions):
 def _raise_if_empty(game, player, clauses):
     """Raise EmptyPolytope for the first infoset whose clauses admit no
     distribution. Checked only after a query fails: any witness satisfies
-    every clause, so an empty polytope cannot coexist with one."""
-    empty = empty_restriction_infosets(game, player, clauses)
-    if empty:
-        raise EmptyPolytope(player, empty[0])
+    every clause, so an empty polytope cannot coexist with one. The answer
+    depends only on the player and the clauses, so it is memoized on the
+    belief space per clause map."""
+    key = tuple((h, tuple(cls)) for h, cls in clauses.items() if cls)
+    if not key:
+        return
+    memo = space_for(game, player)._empty
+    if key not in memo:
+        empty = empty_restriction_infosets(game, player, clauses)
+        memo[key] = empty[0] if empty else None
+    if memo[key] is not None:
+        raise EmptyPolytope(player, memo[key])
 
 
 def coupled_admissible_pair(

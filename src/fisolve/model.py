@@ -12,9 +12,11 @@ lists, opponent profile lists) are products in that order with the rightmost
 coordinate varying fastest, so output is reproducible byte for byte.
 """
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 
 class ModelError(Exception):
@@ -183,17 +185,42 @@ class GameTree:
             for nn in self.infosets[isname].nodes:
                 infoset_of_node[nn] = isname
 
-        # Path of each node/leaf: ordered (decision node, action index) pairs.
-        paths = {self.root: ()}
-        stack = [self.root]
+        player_infosets = {p: [] for p in self.players}
+        for isname in self.infoset_order:
+            player_infosets[self.infosets[isname].owner].append(isname)
+
+        strategies = {}
+        for p in self.players:
+            hs = player_infosets[p]
+            strategies[p] = []
+            ranges = [range(len(self.infosets[h].actions)) for h in hs]
+            for idx, choices in enumerate(product(*ranges)):
+                label = ".".join(
+                    self.infosets[h].actions[c] for h, c in zip(hs, choices)
+                ) or "(idle)"
+                strategies[p].append(Strategy(p, tuple(choices), label, idx))
+
+        infoset_pos = {}
+        for p, hs in player_infosets.items():
+            for k, isname in enumerate(hs):
+                infoset_pos[isname] = k
+
+        # One walk from the root. Per node and leaf: its path, as (decision
+        # node, action index) pairs, and each player's strategy indices
+        # consistent with it (in player order).
+        paths, consistent = {}, {}
+        stack = [(self.root, (), tuple(range(len(strategies[p])) for p in self.players))]
         while stack:
-            cur = stack.pop()
-            node = self.nodes.get(cur)
+            name, path, sets = stack.pop()
+            paths[name], consistent[name] = path, sets
+            node = self.nodes.get(name)
             if node is None:
                 continue
+            k = self.players.index(node.owner)
+            pos = infoset_pos[infoset_of_node[name]]
             for ai, child in enumerate(node.children):
-                paths[child] = paths[cur] + ((cur, ai),)
-                stack.append(child)
+                mine = [i for i in sets[k] if strategies[node.owner][i].choices[pos] == ai]
+                stack.append((child, path + ((name, ai),), sets[:k] + (mine,) + sets[k + 1:]))
 
         # Own history of a node: the player's (infoset, action index) pairs
         # strictly before it. Perfect recall: constant across an infoset.
@@ -220,37 +247,6 @@ class GameTree:
                             "infoset %r occurs twice on one path" % (isname,)
                         )
 
-        player_infosets = {p: [] for p in self.players}
-        for isname in self.infoset_order:
-            player_infosets[self.infosets[isname].owner].append(isname)
-
-        strategies = {}
-        for p in self.players:
-            hs = player_infosets[p]
-            strategies[p] = []
-            ranges = [range(len(self.infosets[h].actions)) for h in hs]
-            for idx, choices in enumerate(product(*ranges)):
-                label = ".".join(
-                    self.infosets[h].actions[c] for h, c in zip(hs, choices)
-                ) or "(idle)"
-                strategies[p].append(Strategy(p, tuple(choices), label, idx))
-
-        infoset_pos = {}
-        for p, hs in player_infosets.items():
-            for k, isname in enumerate(hs):
-                infoset_pos[isname] = k
-
-        # Per-node requirements: player -> ((infoset position, action index), ...).
-        requirements = {}
-        for name, path in paths.items():
-            req = {}
-            for step_node, ai in path:
-                owner = self.nodes[step_node].owner
-                req.setdefault(owner, []).append(
-                    (infoset_pos[infoset_of_node[step_node]], ai)
-                )
-            requirements[name] = {p: tuple(v) for p, v in req.items()}
-
         self._derived = {
             "infoset_of_node": infoset_of_node,
             "paths": paths,
@@ -258,7 +254,7 @@ class GameTree:
             "player_infosets": player_infosets,
             "infoset_pos": infoset_pos,
             "strategies": strategies,
-            "requirements": requirements,
+            "consistent": consistent,
             "reach_cache": {},
             "joint_cache": {},
         }
@@ -302,60 +298,80 @@ class GameTree:
         leaf = self.outcome(profile)
         return leaf.payoffs[self.players.index(player)]
 
-    # -- reachability -------------------------------------------------------------
+    def payoff_table(self):
+        """The exact payoffs of every strategy profile (a PayoffTable),
+        built on first use and cached."""
+        d = self._ensure_derived()
+        if "payoff_table" not in d:
+            d["payoff_table"] = PayoffTable(self)
+        return d["payoff_table"]
 
-    @staticmethod
-    def _consistent(strategy, reqs):
-        for pos, ai in reqs:
-            if strategy.choices[pos] != ai:
-                return False
-        return True
+    # -- reachability -------------------------------------------------------------
 
     def strategies_reaching(self, player, infoset_name):
         """Strategies of the player consistent with some node of the infoset."""
         d = self._ensure_derived()
         key = (player, infoset_name)
-        cached = d["reach_cache"].get(key)
-        if cached is not None:
-            return cached
-        h = self.infosets[infoset_name]
-        out = []
-        for s in d["strategies"][player]:
-            for nn in h.nodes:
-                reqs = d["requirements"][nn].get(player, ())
-                if self._consistent(s, reqs):
-                    out.append(s)
-                    break
-        d["reach_cache"][key] = out
-        return out
+        if key not in d["reach_cache"]:
+            k = self.players.index(player)
+            nodes = self.infosets[infoset_name].nodes
+            keep = set().union(*(d["consistent"][nn][k] for nn in nodes))
+            d["reach_cache"][key] = [s for s in d["strategies"][player] if s.index in keep]
+        return d["reach_cache"][key]
 
     def joint_reaching(self, player, infoset_name):
         """Opponent profiles (tuples in player order, `player` omitted) that
         allow some node of the infoset to be reached."""
         d = self._ensure_derived()
         key = (player, infoset_name)
-        cached = d["joint_cache"].get(key)
-        if cached is not None:
-            return cached
-        opponents = [p for p in self.players if p != player]
-        h = self.infosets[infoset_name]
-        out = []
-        for combo in product(*(d["strategies"][j] for j in opponents)):
-            ok = False
-            for nn in h.nodes:
-                reqs = d["requirements"][nn]
-                if all(self._consistent(s, reqs.get(s.player, ())) for s in combo):
-                    ok = True
-                    break
-            if ok:
-                out.append(combo)
-        d["joint_cache"][key] = out
-        return out
+        if key not in d["joint_cache"]:
+            opp = [k for k, p in enumerate(self.players) if p != player]
+            hit = np.zeros([len(d["strategies"][self.players[k]]) for k in opp], dtype=bool)
+            for nn in self.infosets[infoset_name].nodes:
+                hit[np.ix_(*(d["consistent"][nn][k] for k in opp))] = True
+            combos = product(*(d["strategies"][self.players[k]] for k in opp))
+            d["joint_cache"][key] = [c for c, ok in zip(combos, hit.flat) if ok]
+        return d["joint_cache"][key]
 
     def immediate_predecessor(self, infoset_name):
         """The owner's closest preceding infoset, or None."""
         hist = self.own_history(infoset_name)
         return hist[-1][0] if hist else None
+
+
+class PayoffTable:
+    """Exact payoffs of every strategy profile, read off the tree walk.
+
+    `leaf_of` holds per profile (one axis per player, in player order) the
+    position in `leaves` of the leaf it reaches: each leaf is scattered over
+    the product of the strategy sets consistent with it. Player k's payoff
+    there is `numerators[k][leaf] / denominators[k]`: Python ints over one
+    common denominator L, the lcm of k's leaf denominators. Python ints,
+    because a fixed-width wrap would flip a sign.
+    """
+
+    def __init__(self, game):
+        d = game._ensure_derived()
+        self.players = game.players
+        self.leaves = tuple(game.leaves.values())
+        self.leaf_of = np.empty([len(d["strategies"][p]) for p in self.players], dtype=np.intp)
+        for n, leaf in enumerate(self.leaves):
+            self.leaf_of[np.ix_(*d["consistent"][leaf.name])] = n
+        columns = list(zip(*(leaf.payoffs for leaf in self.leaves)))
+        self.denominators = [math.lcm(*(v.denominator for v in col)) for col in columns]
+        self.numerators = [
+            [v.numerator * (L // v.denominator) for v in col]
+            for col, L in zip(columns, self.denominators)
+        ]
+
+    def rows(self, player):
+        """The player's numerators as one list per own strategy, over the
+        opponent combos in canonical order (the other players in player
+        order, rightmost fastest)."""
+        k = self.players.index(player)
+        nums = self.numerators[k]
+        idx = np.moveaxis(self.leaf_of, k, 0).reshape(self.leaf_of.shape[k], -1)
+        return [[nums[n] for n in row] for row in idx.tolist()]
 
 
 def compatible_infosets(game, player, restriction):
@@ -413,14 +429,10 @@ class ProfileSet:
 
     def outcomes(self):
         """Leaves induced by the product set, in first-reached order."""
-        seen = []
-        names = set()
-        for prof in self.profiles():
-            leaf = self.game.outcome(prof)
-            if leaf.name not in names:
-                names.add(leaf.name)
-                seen.append(leaf)
-        return seen
+        table = self.game.payoff_table()
+        idx = [[s.index for s in self.per_player[p]] for p in self.game.players]
+        reached = table.leaf_of[np.ix_(*idx)].ravel().tolist()
+        return [table.leaves[n] for n in dict.fromkeys(reached)]
 
     def __eq__(self, other):
         return (

@@ -12,7 +12,8 @@ and local optimality of the queried strategy, then paired across infosets by
 checking the chain rule literally on every nested pair. The oracle shares no
 code with the pattern search in the engine: it never looks at event groups,
 inclusion forests, or linear programs, so agreement between the two is
-meaningful evidence.
+meaningful evidence. Payoffs come from the game's payoff table, as in the
+engine; tests check that table against the tree walk `GameTree.payoff`.
 
 Complete only up to grid resolution. When the engine finds a witness and the
 oracle does not, that is a GridTooCoarse advisory, not a bug; the converse
@@ -152,11 +153,12 @@ def _clauses_hold(space, infoset, row, cls):
 
 
 def _locally_best(space, infoset, row, si):
-    mine = sum((w * space.payoff(si, t) for t, w in row.items()), ZERO)
+    u = space.numerators  # one denominator for all, so sums compare as payoffs
+    mine = sum((w * u[si][t] for t, w in row.items()), ZERO)
     for alt in space.reach[infoset]:
         if alt == si:
             continue
-        if sum((w * space.payoff(alt, t) for t, w in row.items()), ZERO) > mine:
+        if sum((w * u[alt][t] for t, w in row.items()), ZERO) > mine:
             return False
     return True
 

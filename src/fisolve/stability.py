@@ -92,14 +92,11 @@ class NormalForm:
 
     @classmethod
     def from_game(cls, game):
-        shape = tuple(len(game.strategies(p)) for p in game.players)
-        tensors = {p: np.zeros(shape) for p in game.players}
-        lists = [game.strategies(p) for p in game.players]
-        for combo in itertools.product(*lists):
-            idx = tuple(s.index for s in combo)
-            leaf = game.outcome({s.player: s for s in combo})
-            for k, p in enumerate(game.players):
-                tensors[p][idx] = float(leaf.payoffs[k])
+        table = game.payoff_table()
+        tensors = {
+            p: np.array([float(leaf.payoffs[k]) for leaf in table.leaves])[table.leaf_of]
+            for k, p in enumerate(game.players)
+        }
         return cls(game, tensors)
 
 

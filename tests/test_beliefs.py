@@ -362,6 +362,41 @@ def test_contradictory_clauses_raise_empty_polytope(bribe):
         )
 
 
+def test_empty_polytope_check_runs_once_per_clause_map(bribe, monkeypatch):
+    """After a failed restricted query the clause polytopes are checked once
+    per player and clause map: a second failing query runs no lp.feasible,
+    and an empty polytope is still reported at the same infoset."""
+    game = dsl.parse_game(dsl.serialize_game(bribe))  # cold belief spaces
+    report = dsl.parse_restrictions(
+        "player Ann\n"
+        "  at ann_root: P[Bob @ bob_after_b = R] = 1\n"
+        "  at ann_root: P[Bob = R] >= 1/2\n",
+        game,
+    )
+    contradictory = dsl.parse_restrictions(
+        "player Ann\n"
+        "  at ann_root: P[Bob = R] >= 2/3\n"
+        "  at ann_root: P[Bob = A] >= 2/3\n",
+        game,
+    )
+    feasible = []
+    inner = lp.feasible
+    monkeypatch.setattr(
+        lp, "feasible", lambda *args: feasible.append(args) or inner(*args)
+    )
+    for name in ("B.I", "B.P"):
+        s = strat(game, "Ann", name)
+        assert beliefs.exists_admissible_cps(game, "Ann", s, (), report) is None
+        assert len(feasible) == 1
+    for name in ("N.P", "B.I"):
+        with pytest.raises(beliefs.EmptyPolytope) as raised:
+            beliefs.exists_admissible_cps(
+                game, "Ann", strat(game, "Ann", name), (), contradictory
+            )
+        assert raised.value.infoset == "ann_root"
+        assert len(feasible) == 2
+
+
 # -- coupled queries ----------------------------------------------------------
 
 

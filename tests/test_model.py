@@ -4,11 +4,13 @@ The reachability and predecessor values here were derived by hand from the
 two game files and are asserted exactly.
 """
 
+import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from fisolve import dsl
+from fisolve import beliefs, dsl, randgen, stability
 from fisolve.model import (
     DanglingNode,
     DecisionNode,
@@ -103,6 +105,38 @@ def test_outcome_and_payoff(bribe, cleo):
     leaf = cleo.outcome({"Ann": ann["S.D"], "Bob": cbob["E.R"], "Cleo": cc["O.M1"]})
     assert leaf.name == "O/S/E"
     assert leaf.payoffs == (Fraction(2), Fraction(2), Fraction(4))
+
+
+# The decimal-payoff game of test_dsl.py: one leaf worth 18/5.
+DECIMAL = "game d\nplayers A\ntree\n  node r owner A\n    x -> leaf (3.6)\n"
+
+
+def test_payoff_table_matches_the_tree_walk(bribe, cleo):
+    """The payoff table is read by the belief engine and the oracle alike,
+    so it is checked here against the independent walk `GameTree.payoff`
+    at every profile and for every player, together with the belief space
+    view, the float normal form, and the table's denominator."""
+    games = [bribe, cleo, dsl.parse_game(DECIMAL)]
+    games += [randgen.random_game(k, max_strategies=6) for k in range(1, 21)]
+    assert games[2].payoff_table().denominators == [5]
+    for game in games:
+        table = game.payoff_table()
+        tensors = stability.normal_form(game).tensors
+        profiles = list(product(*(game.strategies(p) for p in game.players)))
+        for k, p in enumerate(game.players):
+            L = table.denominators[k]
+            assert L == math.lcm(*(leaf.payoffs[k].denominator for leaf in game.leaves.values()))
+            for combo in profiles:
+                idx = tuple(s.index for s in combo)
+                exact = game.payoff(p, combo)
+                assert Fraction(table.numerators[k][table.leaf_of[idx]], L) == exact
+                assert tensors[p][idx] == float(exact)
+            sp = beliefs.space_for(game, p)
+            assert sp.denominator == L
+            for s in game.strategies(p):
+                for t, opp in enumerate(sp.combos):
+                    prof = dict({q.player: q for q in opp}, **{p: s})
+                    assert Fraction(sp.numerators[s.index][t], L) == game.payoff(p, prof)
 
 
 def test_profile_set_canonical_order(bribe):

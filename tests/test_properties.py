@@ -4,11 +4,14 @@ Seeds drive the generator directly, so shrinking lands on a reproducible
 game rather than a mangled tree.
 """
 
+import random
+from fractions import Fraction
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from fisolve import beliefs, dsl, randgen, solvers
+from fisolve.model import GameTree, Leaf
 
 
 SLOTS = settings(max_examples=25, deadline=None)
@@ -184,3 +187,71 @@ def test_dominance_exit_never_changes_an_answer(seed):
         without_check = solve_all()
     assert with_check == without_check
     assert pattern_answers == [None] * len(pattern_answers)
+
+
+def _affine(game, seed):
+    """The game with each player's payoffs mapped by u -> a*u + b, with a > 0
+    and not an integer and b a half-integer, so that every player's payoff
+    table has a denominator above 1."""
+    rng = random.Random(seed)
+    maps = []
+    for _ in game.players:
+        a = Fraction(rng.randint(1, 40), rng.choice((3, 7, 9)))
+        if a.denominator == 1:
+            a += Fraction(1, 3)
+        maps.append((a, Fraction(2 * rng.randint(-20, 20) + 1, 2)))
+    leaves = {
+        name: Leaf(name, tuple(a * v + b for (a, b), v in zip(maps, leaf.payoffs)))
+        for name, leaf in game.leaves.items()
+    }
+    return GameTree(
+        game.name, game.players, game.root, game.nodes, leaves,
+        game.infosets, game.infoset_order,
+    ).validate()
+
+
+def _decisions(trace):
+    """Rounds, reasons and outcomes by name, so traces of different games
+    with the same tree compare."""
+    players = trace.game.players
+    return (
+        [[[s.name for s in r.strategies(p)] for p in players] for r in trace.rounds],
+        trace.eliminations_flat(),
+        [leaf.name for leaf in trace.outcomes],
+    )
+
+
+@given(seed=st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_positive_affine_payoffs_change_no_decision(seed):
+    """Decisions read payoff differences through signs and through sums with
+    equal weights, so a positive affine map of a player's payoffs changes no
+    round, reason or outcome. The mapped games exercise denominators above 1
+    in the integer payoff table and in the LP rows built from it."""
+    game = randgen.random_game(seed, max_strategies=6)
+    mapped = _affine(game, seed)
+    assert all(L > 1 for L in mapped.payoff_table().denominators)
+    delta = randgen.random_point_restrictions(seed + 1, game, solvers.rationalizability(game))
+    clauses = [] if delta is None else [
+        cl for p in game.players for cls in delta.clauses_for(p).values() for cl in cls
+    ]
+
+    def solve_all(g):
+        base = solvers.rationalizability(g)
+        if not clauses:
+            return [base]
+        restrictions = dsl.RestrictionProfile(g, clauses)
+        return [
+            base,
+            solvers.selective_rationalizability(g, restrictions, base=base),
+            solvers.strong_delta_rationalizability(g, restrictions),
+        ]
+
+    before, after = solve_all(game), solve_all(mapped)
+    assert [_decisions(t) for t in before] == [_decisions(t) for t in after]
+    for trace in after:
+        for p in mapped.players:
+            for s in trace.survivors.strategies(p):
+                cps = trace.witnesses[(p, s.name)]
+                assert beliefs.is_valid_cps(mapped, p, cps)
+                assert beliefs.sequential_best_reply(mapped, p, s, cps)
