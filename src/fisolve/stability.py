@@ -12,6 +12,13 @@ a candidate equilibrium set: does the perturbed game still have an
 equilibrium near it? Claims are checked against declared finite families
 only; no universal quantifier over perturbations is decided here.
 
+Nearby equilibria are found per support combination by a root find on the
+indifference and feasibility conditions. Payoffs are multilinear in the
+mixes, so the conditions' Jacobian is read off the payoff tensors rather
+than built by finite differences, and a start that already solves the
+conditions exactly (a strict pure equilibrium, say) is accepted without
+calling the solver.
+
 Scenario files (JSON) bundle named profiles, perturbation families, and a
 list of checks; weights may be strings like "1 - 1/sqrt(2)" which are
 evaluated with a tiny arithmetic interpreter.
@@ -374,51 +381,143 @@ def _search(game_or_nf, target, epsilon, tol, support_cap, budget):
     return None, root_finds
 
 
-def _solve_support(nf, supports, target_vecs, tol):
+def _support_system(nf, supports):
+    """The support conditions as a residual and its Jacobian, both functions
+    of z, the players' weights on their supports laid end to end.
+
+    Per player the rows are: the weights' sum minus 1, min(w, 0) per weight,
+    each support strategy's value minus the first's, and per strategy off
+    the support max(0, its value minus the least support value). Values are
+    multilinear, so the derivative of player k's values in player j's
+    weights is k's tensor contracted with every mix but k's and j's. One
+    set of those contractions gives the values and the Jacobian, and the
+    last one is kept for the next call at the same z. The piecewise rows
+    take one-sided derivatives: 0 on a kink's inactive side, and the first
+    of tied least support values."""
     nplayers = len(nf.players)
     sizes = [len(s) for s in supports]
-    offsets = np.cumsum([0] + sizes)
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    starts = offsets[:-1]
+    # The players' values are laid end to end too, player k's from base[k].
+    base = list(itertools.accumulate(nf.shape, initial=0))
+    sum_rows, min_rows, diff_rows, off_rows = [], [], [], []
+    in_at, diff_at, first_at, off_at, off_owner = [], [], [], [], []
+    r = 0
+    for k, (n, supp) in enumerate(zip(nf.shape, supports)):
+        s = len(supp)
+        at = [base[k] + i for i in supp]
+        off = [base[k] + i for i in range(n) if i not in supp]
+        sum_rows.append(r)
+        min_rows.extend(range(r + 1, r + 1 + s))
+        diff_rows.extend(range(r + 1 + s, r + 2 * s))
+        off_rows.extend(range(r + 2 * s, r + n + s))
+        in_at += at
+        diff_at += at[1:]
+        first_at += at[:1] * (s - 1)
+        off_at += off
+        off_owner += [k] * len(off)
+        r += n + s
+    nrows = r
+    sum_rows, min_rows, diff_rows, off_rows, in_at, diff_at, first_at, off_at, off_owner = (
+        np.asarray(a, dtype=np.intp)
+        for a in (
+            sum_rows, min_rows, diff_rows, off_rows,
+            in_at, diff_at, first_at, off_at, off_owner,
+        )
+    )
+    sum_of_col = np.repeat(sum_rows, sizes)
+    in_by_player = [in_at[a:b] for a, b in zip(starts, offsets[1:])]
+    # A mix is zero off its support, so only the opponents' support columns
+    # of player k's tensor count. Per opponent j it is viewed with axes k,
+    # j, then the others, which are contracted from the last axis.
+    views = []
+    for k, p in enumerate(nf.players):
+        t = nf.tensors[p]
+        for j in range(nplayers):
+            if j != k:
+                t = t.take(supports[j], axis=j)
+        pairs = []
+        for j in range(nplayers):
+            if j != k:
+                rest = [m for m in range(nplayers) if m not in (k, j)]
+                pairs.append((j, t.transpose([k, j] + rest), rest[::-1]))
+        views.append((t, pairs))
+    last = {}
 
-    def unpack(z):
-        vecs = []
-        for k in range(nplayers):
-            v = np.zeros(nf.shape[k])
-            w = z[offsets[k] : offsets[k + 1]]
-            v[list(supports[k])] = w
-            vecs.append(v)
-        return vecs
+    def contract(z):
+        if "z" in last and np.array_equal(last["z"], z):
+            return last["values"], last["grads"]
+        ws = [z[a:b] for a, b in zip(starts, offsets[1:])]
+        grads = np.zeros((base[-1], offsets[-1]))
+        values = []
+        for k, (t, pairs) in enumerate(views):
+            for j, d, rest in pairs:
+                for m in rest:
+                    d = d @ ws[m]
+                grads[base[k] : base[k + 1], offsets[j] : offsets[j + 1]] = d
+            # Any one opponent's derivative times their mix is k's values.
+            values.append(d @ ws[j] if pairs else t)
+        values = np.concatenate(values)
+        last.update(z=z.copy(), values=values, grads=grads)
+        return values, grads
 
     def residual(z):
-        vecs = unpack(z)
-        res = []
-        for k, p in enumerate(nf.players):
-            w = z[offsets[k] : offsets[k + 1]]
-            res.append(np.sum(w) - 1.0)
-            res.extend(np.minimum(w, 0.0))
-            values = pure_values(nf, {q: vecs[j] for j, q in enumerate(nf.players)}, p)
-            supp = list(supports[k])
-            base = values[supp[0]]
-            for i in supp[1:]:
-                res.append(values[i] - base)
-            inside = float(np.min(values[supp]))
-            for i in range(nf.shape[k]):
-                if i not in supports[k]:
-                    res.append(max(0.0, values[i] - inside))
-        return np.asarray(res)
+        values, _ = contract(z)
+        out = np.empty(nrows)
+        out[sum_rows] = np.add.reduceat(z, starts) - 1.0
+        out[min_rows] = np.minimum(z, 0.0)
+        out[diff_rows] = values[diff_at] - values[first_at]
+        least = np.minimum.reduceat(values[in_at], starts)
+        out[off_rows] = np.maximum(0.0, values[off_at] - least[off_owner])
+        return out
 
+    def jacobian(z):
+        values, grads = contract(z)
+        jac = np.zeros((nrows, offsets[-1]))
+        cols = np.arange(offsets[-1])
+        jac[sum_of_col, cols] = 1.0
+        jac[min_rows, cols] = z < 0.0
+        jac[diff_rows] = grads[diff_at] - grads[first_at]
+        # np.argmin picks the first of tied least values.
+        low_at = np.array([at[np.argmin(values[at])] for at in in_by_player])
+        low_at = low_at[off_owner]
+        active = values[off_at] - values[low_at] > 0.0
+        jac[off_rows] = np.where(active[:, None], grads[off_at] - grads[low_at], 0.0)
+        return jac
+
+    return residual, jacobian
+
+
+def _solve_support(nf, supports, target_vecs, tol):
+    """Root find the support conditions from the target's weights on the
+    supports, renormalised (uniform where the target puts no mass). A start
+    whose residual is exactly zero is the root: least_squares would stop
+    there on gtol before its first step."""
+    nplayers = len(nf.players)
+    residual, jacobian = _support_system(nf, supports)
     start = []
     for k in range(nplayers):
         w = target_vecs[k][list(supports[k])]
         s = w.sum()
         if s < 1e-9:
-            w = np.ones(sizes[k]) / sizes[k]
+            w = np.ones(len(w)) / len(w)
         else:
             w = w / s
         start.extend(w)
-    sol = least_squares(residual, np.asarray(start), xtol=1e-14, ftol=1e-14, gtol=1e-14)
-    if float(np.max(np.abs(residual(sol.x)))) > _RESIDUAL_TOL:
-        return None
-    vecs = unpack(sol.x)
+    x = np.asarray(start)
+    if np.any(residual(x)):
+        x = least_squares(
+            residual, x, jac=jacobian, xtol=1e-14, ftol=1e-14, gtol=1e-14
+        ).x
+        if float(np.max(np.abs(residual(x)))) > _RESIDUAL_TOL:
+            return None
+    vecs = []
+    offset = 0
+    for k in range(nplayers):
+        v = np.zeros(nf.shape[k])
+        v[list(supports[k])] = x[offset : offset + len(supports[k])]
+        offset += len(supports[k])
+        vecs.append(v)
     vecs = [np.clip(v, 0.0, None) for v in vecs]
     vecs = [v / v.sum() for v in vecs]
     profile = {p: vecs[k] for k, p in enumerate(nf.players)}
@@ -483,10 +582,18 @@ _CHECK_FIELDS = {
 }
 
 
+def _complete(game, profile, what):
+    """The profile, once it has a mix for every player of the game."""
+    missing = [p for p in game.players if p not in profile]
+    if missing:
+        raise StabilityError("%s has no mix for %s" % (what, ", ".join(missing)))
+    return profile
+
+
 def run_scenario(game, scenario):
     """Execute scenario checks; returns rows (description, passed, detail)."""
     profiles = {
-        name: _profile_from_doc(game, doc)
+        name: _complete(game, _profile_from_doc(game, doc), "profile %r" % name)
         for name, doc in scenario.get("profiles", {}).items()
     }
 
@@ -538,7 +645,7 @@ def run_scenario(game, scenario):
                     "expect must be \"found\" or \"none\", not %r" % expect
                 )
             targets = [profile(name) for name in check["targets"]]
-            tremble = _profile_from_doc(game, check["tremble"])
+            tremble = _complete(game, _profile_from_doc(game, check["tremble"]), "tremble")
             delta = float(check["delta"])
             eps = float(check["epsilon"])
             spec = PerturbationSpec(tremble, delta, delta0=delta, epsilon=eps)

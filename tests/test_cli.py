@@ -219,9 +219,10 @@ def test_stability_failing_check_exits_one(capsys, tmp_path):
     assert "0/1 checks passed" in out
 
 
-def _scenario_error(capsys, tmp_path, check, message):
+def _scenario_error(capsys, tmp_path, check, message, profiles=None):
     path = tmp_path / "bad.scenario"
-    path.write_text(json.dumps({"profiles": {"sigma": SIGMA}, "checks": [check]}))
+    profiles = {"sigma": SIGMA} if profiles is None else profiles
+    path.write_text(json.dumps({"profiles": profiles, "checks": [check]}))
     code, out, err = run(capsys, "--game", CLEO, "--stability-scenario", str(path))
     assert code == 2
     assert out == ""
@@ -248,6 +249,22 @@ def test_stability_scenario_rejects_unknown_strategy(capsys, tmp_path):
     check = {"check": "indifference", "profile": "sigma", "player": "Cleo",
              "between": ["O.M1", "I.M3"], "tol": 1e-9}
     _scenario_error(capsys, tmp_path, check, "Cleo has no strategy named I.M3")
+
+
+def test_stability_scenario_rejects_profile_without_a_player(capsys, tmp_path):
+    partial = {p: w for p, w in SIGMA.items() if p != "Cleo"}
+    check = {"check": "nash", "profile": "partial", "tol": 1e-9}
+    _scenario_error(
+        capsys, tmp_path, check, "profile 'partial' has no mix for Cleo",
+        profiles={"sigma": SIGMA, "partial": partial},
+    )
+
+
+def test_stability_scenario_rejects_tremble_without_a_player(capsys, tmp_path):
+    bundled = json.loads((GAMES / "cleo_stability.scenario").read_text())
+    check = dict(bundled["checks"][7])
+    check["tremble"] = {p: w for p, w in check["tremble"].items() if p != "Bob"}
+    _scenario_error(capsys, tmp_path, check, "tremble has no mix for Bob")
 
 
 # -- error paths -----------------------------------------------------------------

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fisolve import dsl, stability
 from fisolve.stability import (
@@ -267,8 +267,8 @@ def _simultaneous_game(sizes, payoffs):
 
 
 @st.composite
-def lab_cases(draw):
-    """A trembled random normal form, a pure or mixed target, an epsilon.
+def lab_games(draw):
+    """A random normal form of two or three players, trembled uniformly.
     Three-player forms stop at three strategies each, so that the unpruned
     reference search stays within a second."""
     nplayers = draw(st.sampled_from((2, 3)))
@@ -281,6 +281,15 @@ def lab_cases(draw):
         )
     )
     game = _simultaneous_game(sizes, payoffs)
+    return perturb_game(game, PerturbationSpec(uniform_tremble(game), 1e-3))
+
+
+@st.composite
+def lab_cases(draw):
+    """A trembled random normal form, a pure or mixed target, an epsilon."""
+    pert = draw(lab_games())
+    game = pert.game
+    sizes = pert.shape
     target = {}
     for p, n in zip(game.players, sizes):
         if draw(st.booleans()):
@@ -290,8 +299,6 @@ def lab_cases(draw):
             raw = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any))
         names = [s.name for s in game.strategies(p)]
         target[p] = mix(game, p, {a: w / sum(raw) for a, w in zip(names, raw)})
-    spec = PerturbationSpec(uniform_tremble(game), 1e-3)
-    pert = perturb_game(game, spec)
     # Most random targets are far from every equilibrium. Pulling some onto
     # or near one puts hits and near misses at the edge of the box. The
     # anchor is a root on up to three strategies each when there is one,
@@ -403,3 +410,86 @@ def test_refutation_is_sound(case):
     ]
     for combo in rng.sample(refuted, min(5, len(refuted))):
         assert _close_root(nf, combo, vecs, epsilon) is None
+
+
+# -- the root finder's support system ----------------------------------------------
+
+
+def _reference_residual(nf, supports, z):
+    """The support conditions row by row, from pure_values."""
+    vecs, rows, at = [], [], 0
+    for n, supp in zip(nf.shape, supports):
+        v = np.zeros(n)
+        v[list(supp)] = z[at : at + len(supp)]
+        vecs.append(v)
+        at += len(supp)
+    profile = dict(zip(nf.players, vecs))
+    for k, (p, supp) in enumerate(zip(nf.players, supports)):
+        w = vecs[k][list(supp)]
+        values = pure_values(nf, profile, p)
+        rows.append(w.sum() - 1.0)
+        rows.extend(np.minimum(w, 0.0))
+        rows.extend(values[i] - values[supp[0]] for i in supp[1:])
+        least = min(values[i] for i in supp)
+        rows.extend(max(0.0, values[i] - least) for i in range(nf.shape[k]) if i not in supp)
+    return np.array(rows), [pure_values(nf, profile, p) for p in nf.players]
+
+
+@given(nf=lab_games(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_support_jacobian_matches_central_differences(nf, data):
+    """At a point inside the support simplex, away from the kinks of the
+    min and max rows, the residual has the reference rows in their order
+    and the analytic Jacobian matches central differences. The residual is
+    linear in each single weight there, so only rounding separates them."""
+    supports = tuple(
+        tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 3)))))
+        for n in nf.shape
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    z = np.concatenate([rng.dirichlet(np.ones(len(s))) for s in supports])
+    expected, values = _reference_residual(nf, supports, z)
+    for supp, v in zip(supports, values):
+        inside = np.sort(v[list(supp)])
+        gaps = [abs(v[i] - inside[0]) for i in range(len(v)) if i not in supp]
+        gaps += list(inside[1:2] - inside[0])
+        assume(all(g > 1e-4 for g in gaps))
+    residual, jacobian = stability._support_system(nf, supports)
+    assert np.allclose(residual(z), expected, rtol=0, atol=1e-12)
+    analytic = jacobian(z)
+    h = 1e-6
+    central = np.stack(
+        [(residual(z + h * e) - residual(z - h * e)) / (2 * h) for e in np.eye(len(z))],
+        axis=1,
+    )
+    np.testing.assert_allclose(analytic, central, rtol=1e-6, atol=1e-8)
+    assert np.array_equal(stability._support_system(nf, supports)[1](z), analytic)
+
+
+def test_exact_start_makes_no_least_squares_call(monkeypatch):
+    """A strict pure equilibrium as the target solves its own support with
+    residual exactly 0, so the search accepts it without least_squares.
+    From that start least_squares, with the analytic or the finite-difference
+    Jacobian, returns the start itself, so the profile is the same."""
+    game = _simultaneous_game([2, 2], [(3, 3), (0, 5), (5, 0), (1, 1)])
+    pert = perturb_game(game, PerturbationSpec(uniform_tremble(game), 1e-3))
+    target = {"P1": mix(game, "P1", {"a1": 1}), "P2": mix(game, "P2", {"b1": 1})}
+    calls = []
+    real = stability.least_squares
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "least_squares", counted)
+    found = find_equilibrium_near(pert, target, epsilon=1e-2)
+    assert calls == []
+    assert {p: m.as_dict() for p, m in found.items()} == {
+        "P1": {"a1": 1.0}, "P2": {"b1": 1.0}
+    }
+    residual, jacobian = stability._support_system(pert, ((1,), (1,)))
+    start = np.ones(2)
+    assert not np.any(residual(start))
+    for jac in (jacobian, "2-point"):
+        sol = real(residual, start, jac=jac, xtol=1e-14, ftol=1e-14, gtol=1e-14)
+        assert np.array_equal(sol.x, start)
