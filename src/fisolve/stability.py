@@ -7,7 +7,8 @@ explicit arguments with conservative defaults (1e-9 for equilibrium checks,
 1e-12 for arithmetic identities).
 
 A perturbation substitutes every pure strategy with a mixture that trembles
-onto a fixed completely mixed profile. The lab answers spot questions about
+onto a fixed completely mixed profile. On the payoff tensors that is one
+rank-one update per trembling player. The lab answers spot questions about
 a candidate equilibrium set: does the perturbed game still have an
 equilibrium near it? Claims are checked against declared finite families
 only; no universal quantifier over perturbations is decided here.
@@ -17,7 +18,11 @@ indifference and feasibility conditions. Payoffs are multilinear in the
 mixes, so the conditions' Jacobian is read off the payoff tensors rather
 than built by finite differences, and a start that already solves the
 conditions exactly (a strict pure equilibrium, say) is accepted without
-calling the solver.
+calling the solver. The solver is MINPACK's Levenberg-Marquardt: support
+systems are often rank-deficient (an opponent's pure strategy can make a
+player's indifference rows constant), and there it takes the Gauss-Newton
+step, while trf scales every step to its trust radius and converges only
+linearly.
 
 Scenario files (JSON) bundle named profiles, perturbation families, and a
 list of checks; weights may be strings like "1 - 1/sqrt(2)" which are
@@ -62,6 +67,8 @@ class MixedStrategy:
                     "%s has no strategy named %s" % (player, name)
                 )
             vec[names.index(name)] = float(w)
+        if not np.isfinite(vec).all():
+            raise StabilityError("a weight of %s is not a finite number" % player)
         if vec.min() < -tol:
             raise StabilityError("negative weight for %s" % player)
         if abs(vec.sum() - 1.0) > max(tol, 1e-12):
@@ -195,21 +202,25 @@ class PerturbationSpec:
 
 
 def perturb_game(game_or_nf, spec):
-    """Replace each pure strategy by its trembled mixture, per player."""
+    """Replace each pure strategy by its trembled mixture, per player.
+
+    Player k's tremble matrix (1 - d) I + d 1 target^T is the identity plus
+    a rank-one term, so along k's axis it maps a tensor t to (1 - d) t plus
+    d times t contracted with the target, repeated along that axis. All the
+    players' tensors are stacked, so this is one contraction per trembling
+    player; a player with d = 0 is skipped and leaves its axis exact."""
     nf = _as_nf(game_or_nf)
-    tensors = {}
-    mats = []
-    for axis, p in enumerate(nf.players):
-        n = nf.shape[axis]
+    stack = np.stack([nf.tensors[p] for p in nf.players])
+    for axis, p in enumerate(nf.players, start=1):
         d = spec.deltas.get(p, 0.0)
-        target = spec.sigma_tilde[p].vector
-        mats.append((1.0 - d) * np.eye(n) + d * np.tile(target, (n, 1)))
-    for p in nf.players:
-        t = nf.tensors[p]
-        for axis, m in enumerate(mats):
-            t = np.moveaxis(np.tensordot(m, t, axes=([1], [axis])), 0, axis)
-        tensors[p] = t
-    return NormalForm(nf.game, tensors)
+        if d == 0:
+            continue
+        shape = [1] * stack.ndim
+        shape[axis] = -1
+        target = spec.sigma_tilde[p].vector.reshape(shape)
+        mean = (stack * target).sum(axis=axis, keepdims=True)
+        stack = (1.0 - d) * stack + d * mean
+    return NormalForm(nf.game, {p: stack[k] for k, p in enumerate(nf.players)})
 
 
 def _support_orders(n, target_vec, cap):
@@ -492,7 +503,9 @@ def _solve_support(nf, supports, target_vecs, tol):
     """Root find the support conditions from the target's weights on the
     supports, renormalised (uniform where the target puts no mass). A start
     whose residual is exactly zero is the root: least_squares would stop
-    there on gtol before its first step."""
+    there on gtol before its first step. Levenberg-Marquardt needs at least
+    as many rows as unknowns, and a player with s support strategies out of
+    n gives n + s rows for s weights."""
     nplayers = len(nf.players)
     residual, jacobian = _support_system(nf, supports)
     start = []
@@ -507,7 +520,8 @@ def _solve_support(nf, supports, target_vecs, tol):
     x = np.asarray(start)
     if np.any(residual(x)):
         x = least_squares(
-            residual, x, jac=jacobian, xtol=1e-14, ftol=1e-14, gtol=1e-14
+            residual, x, jac=jacobian, method="lm",
+            xtol=1e-14, ftol=1e-14, gtol=1e-14,
         ).x
         if float(np.max(np.abs(residual(x)))) > _RESIDUAL_TOL:
             return None
@@ -529,7 +543,10 @@ def _solve_support(nf, supports, target_vecs, tol):
 
 def _safe_expr(text):
     """Evaluate a small arithmetic expression: numbers, + - * /, sqrt."""
-    node = ast.parse(str(text), mode="eval")
+    try:
+        node = ast.parse(str(text), mode="eval")
+    except (SyntaxError, ValueError):
+        raise StabilityError("unparseable expression: %r" % text) from None
 
     def walk(n):
         if isinstance(n, ast.Expression):
@@ -558,20 +575,45 @@ def _safe_expr(text):
             return math.sqrt(walk(n.args[0]))
         raise StabilityError("unsupported expression: %r" % text)
 
-    return walk(node)
+    try:
+        return walk(node)
+    except (ArithmeticError, ValueError) as exc:
+        raise StabilityError("cannot evaluate %r: %s" % (text, exc)) from None
 
 
 def parse_scenario(text):
     return json.loads(text)
 
 
+def _number(check, field, default=None):
+    """The check's field as a float; default when it is absent."""
+    value = check.get(field, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise StabilityError(
+            "%s of a %s check is not a number: %r" % (field, check["check"], value)
+        ) from None
+
+
+_JSON_KINDS = {dict: "object", list: "array"}
+
+
+def _json(value, kind, what):
+    """The value, once it is a JSON object (kind dict) or array (list)."""
+    if not isinstance(value, kind):
+        raise StabilityError("%s is not a JSON %s" % (what, _JSON_KINDS[kind]))
+    return value
+
+
 def _profile_from_doc(game, doc):
-    return {
-        player: MixedStrategy(
+    profile = {}
+    for player, weights in _json(doc, dict, "a profile").items():
+        weights = _json(weights, dict, "the mix of %s" % player)
+        profile[player] = MixedStrategy(
             game, player, {name: _safe_expr(w) for name, w in weights.items()}
         )
-        for player, weights in doc.items()
-    }
+    return profile
 
 
 # The fields each scenario check kind needs; "tol" is optional.
@@ -592,9 +634,10 @@ def _complete(game, profile, what):
 
 def run_scenario(game, scenario):
     """Execute scenario checks; returns rows (description, passed, detail)."""
+    _json(scenario, dict, "the scenario")
     profiles = {
         name: _complete(game, _profile_from_doc(game, doc), "profile %r" % name)
-        for name, doc in scenario.get("profiles", {}).items()
+        for name, doc in _json(scenario.get("profiles", {}), dict, "profiles").items()
     }
 
     def profile(name):
@@ -603,15 +646,15 @@ def run_scenario(game, scenario):
         return profiles[name]
 
     rows = []
-    for check in scenario.get("checks", ()):
-        kind = check.get("check")
+    for check in _json(scenario.get("checks", []), list, "checks"):
+        kind = _json(check, dict, "a check").get("check")
         if kind not in _CHECK_FIELDS:
             raise StabilityError("unknown check kind %r" % kind)
         missing = [f for f in _CHECK_FIELDS[kind] if f not in check]
         if missing:
             raise StabilityError("%s check lacks %s" % (kind, ", ".join(missing)))
         if kind == "nash":
-            tol = float(check.get("tol", 1e-9))
+            tol = _number(check, "tol", 1e-9)
             ok, regrets = is_nash(game, profile(check["profile"]), tol)
             worst = max(regrets.values())
             rows.append((
@@ -620,13 +663,18 @@ def run_scenario(game, scenario):
                 "max regret %.3g" % worst,
             ))
         elif kind == "indifference":
-            tol = float(check.get("tol", 1e-9))
+            tol = _number(check, "tol", 1e-9)
             player = check["player"]
             if player not in game.players:
                 raise StabilityError("unknown player %r" % player)
             values = pure_values(game, profile(check["profile"]), player)
             names = [s.name for s in game.strategies(player)]
-            a, b = check["between"]
+            between = _json(check["between"], list, "between")
+            if len(between) != 2:
+                raise StabilityError(
+                    "indifference between wants two strategy names, not %r" % (between,)
+                )
+            a, b = between
             for name in (a, b):
                 if name not in names:
                     raise StabilityError(
@@ -644,10 +692,10 @@ def run_scenario(game, scenario):
                 raise StabilityError(
                     "expect must be \"found\" or \"none\", not %r" % expect
                 )
-            targets = [profile(name) for name in check["targets"]]
+            targets = [profile(name) for name in _json(check["targets"], list, "targets")]
             tremble = _complete(game, _profile_from_doc(game, check["tremble"]), "tremble")
-            delta = float(check["delta"])
-            eps = float(check["epsilon"])
+            delta = _number(check, "delta")
+            eps = _number(check, "epsilon")
             spec = PerturbationSpec(tremble, delta, delta0=delta, epsilon=eps)
             perturbed = perturb_game(game, spec)
             details = []

@@ -219,14 +219,19 @@ def test_stability_failing_check_exits_one(capsys, tmp_path):
     assert "0/1 checks passed" in out
 
 
-def _scenario_error(capsys, tmp_path, check, message, profiles=None):
+def _scenario_doc_error(capsys, tmp_path, doc, message):
     path = tmp_path / "bad.scenario"
-    profiles = {"sigma": SIGMA} if profiles is None else profiles
-    path.write_text(json.dumps({"profiles": profiles, "checks": [check]}))
+    path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "--game", CLEO, "--stability-scenario", str(path))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+def _scenario_error(capsys, tmp_path, check, message, profiles=None):
+    profiles = {"sigma": SIGMA} if profiles is None else profiles
+    _scenario_doc_error(capsys, tmp_path, {"profiles": profiles, "checks": [check]}, message)
 
 
 def test_stability_scenario_rejects_unknown_expect(capsys, tmp_path):
@@ -265,6 +270,51 @@ def test_stability_scenario_rejects_tremble_without_a_player(capsys, tmp_path):
     check = dict(bundled["checks"][7])
     check["tremble"] = {p: w for p, w in check["tremble"].items() if p != "Bob"}
     _scenario_error(capsys, tmp_path, check, "tremble has no mix for Bob")
+
+
+@pytest.mark.parametrize("weight, message", [
+    ("1/0", "cannot evaluate '1/0': float division by zero"),
+    ("sqrt(0-1)", "cannot evaluate 'sqrt(0-1)': math domain error"),
+    ("9e999 * 0", "a weight of Cleo is not a finite number"),
+])
+def test_stability_scenario_rejects_a_weight_without_a_finite_value(capsys, tmp_path, weight, message):
+    bad = dict(SIGMA, Cleo={"O.M1": weight})
+    check = {"check": "nash", "profile": "sigma", "tol": 1e-9}
+    _scenario_error(capsys, tmp_path, check, message, profiles={"sigma": SIGMA, "bad": bad})
+
+
+def test_stability_scenario_rejects_indifference_between_three(capsys, tmp_path):
+    check = {"check": "indifference", "profile": "sigma", "player": "Cleo",
+             "between": ["O.M1", "I.M1", "I.M2"], "tol": 1e-9}
+    _scenario_error(capsys, tmp_path, check, "between wants two strategy names")
+
+
+@pytest.mark.parametrize("field", ["delta", "epsilon", "tol"])
+def test_stability_scenario_rejects_a_non_numeric_field(capsys, tmp_path, field):
+    bundled = json.loads((GAMES / "cleo_stability.scenario").read_text())
+    check = bundled["checks"][0] if field == "tol" else bundled["checks"][7]
+    check = dict(check, **{field: "small"})
+    message = "%s of a %s check is not a number: 'small'" % (field, check["check"])
+    _scenario_error(capsys, tmp_path, check, message, profiles=bundled["profiles"])
+
+
+def test_stability_scenario_must_be_an_object(capsys, tmp_path):
+    _scenario_doc_error(capsys, tmp_path, [SIGMA], "the scenario is not a JSON object")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"profiles": [SIGMA]}, "profiles is not a JSON object"),
+    ({"profiles": {"sigma": 1}}, "a profile is not a JSON object"),
+    ({"profiles": {"sigma": dict(SIGMA, Ann=1)}}, "the mix of Ann is not a JSON object"),
+    ({"checks": {"check": "nash"}}, "checks is not a JSON array"),
+    ({"checks": [1]}, "a check is not a JSON object"),
+    ({"profiles": {"sigma": SIGMA}, "checks": [{
+        "check": "perturbed-equilibrium", "targets": 1, "tremble": SIGMA,
+        "delta": 0.001, "epsilon": 0.01, "expect": "found"}]},
+     "targets is not a JSON array"),
+])
+def test_stability_scenario_parts_have_their_json_kinds(capsys, tmp_path, doc, message):
+    _scenario_doc_error(capsys, tmp_path, doc, message)
 
 
 # -- error paths -----------------------------------------------------------------

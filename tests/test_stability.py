@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fisolve import dsl, stability
+from fisolve import dsl, randgen, stability
 from fisolve.stability import (
     MixedStrategy,
     PerturbationSpec,
@@ -155,6 +155,56 @@ def test_perturbation_commutes_with_mixing(nf, cleo):
             assert abs(a - b) < 1e-12
 
 
+def _reference_perturbation(nf, spec):
+    """Each player's tremble matrix applied on its axis of every tensor."""
+    tensors = {}
+    for p in nf.players:
+        t = nf.tensors[p]
+        for axis, q in enumerate(nf.players):
+            n = nf.shape[axis]
+            d = spec.deltas.get(q, 0.0)
+            mat = (1 - d) * np.eye(n) + d * np.outer(np.ones(n), spec.sigma_tilde[q].vector)
+            t = np.moveaxis(np.tensordot(mat, t, axes=([1], [axis])), 0, axis)
+        tensors[p] = t
+    return tensors
+
+
+def _random_tremble(game, rng):
+    """A non-uniform completely mixed profile."""
+    out = {}
+    for p in game.players:
+        names = [s.name for s in game.strategies(p)]
+        raw = rng.random(len(names)) + 0.05
+        out[p] = mix(game, p, dict(zip(names, raw / raw.sum())))
+    return out
+
+
+def test_perturbation_matches_the_tremble_matrices():
+    """On random games of two and three players, with per-player deltas that
+    include 0 and non-uniform completely mixed trembles, the perturbed tensors
+    are the tremble matrices applied on every axis. A player with delta 0
+    leaves their axis exact: their tremble target changes no bit."""
+    rng = np.random.default_rng(11)
+    counts = {2: 0, 3: 0}
+    for seed in range(1, 40):
+        game = randgen.random_game(seed, max_strategies=4)
+        nfg = normal_form(game)
+        counts[len(game.players)] += 1
+        deltas = dict(zip(game.players, rng.choice([0.0, 1e-3, 0.1, 0.4], len(game.players))))
+        still = game.players[seed % len(game.players)]
+        deltas[still] = 0.0
+        sigma_tilde = _random_tremble(game, rng)
+        pert = perturb_game(nfg, PerturbationSpec(sigma_tilde, deltas))
+        expected = _reference_perturbation(nfg, PerturbationSpec(sigma_tilde, deltas))
+        for p in game.players:
+            np.testing.assert_allclose(pert.tensors[p], expected[p], rtol=0, atol=1e-12)
+        other = dict(sigma_tilde, **{still: _random_tremble(game, rng)[still]})
+        again = perturb_game(nfg, PerturbationSpec(other, deltas))
+        for p in game.players:
+            assert np.array_equal(again.tensors[p], pert.tensors[p])
+    assert counts[2] and counts[3]
+
+
 def test_tremble_target_must_be_completely_mixed(cleo):
     bad = uniform_tremble(cleo)
     bad["Cleo"] = mix(cleo, "Cleo", {"O.M1": 1})
@@ -201,6 +251,31 @@ def test_biased_tremble_refutes_every_support_near_se(nf, cleo, sigma, monkeypat
     assert calls == []
     assert find_equilibrium_near(pert, sigma, epsilon=1e-2) is not None
     assert len(calls) >= 1
+
+
+def test_rank_deficient_support_system_converges_fast(nf, cleo, monkeypatch):
+    """The scenario's found check near sigma. With Cleo on O.M1 alone, Ann's
+    and Bob's indifference rows are constant, so the support Jacobian is
+    rank-deficient. Levenberg-Marquardt takes the Gauss-Newton step on such
+    a system and stops within a few residual evaluations; trf scales every
+    step to its trust radius, converges linearly and needed 159."""
+    nfev = []
+    real = stability.least_squares
+
+    def counted(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(stability, "least_squares", counted)
+    scenario = parse_scenario(read("cleo_stability.scenario"))
+    check = scenario["checks"][7]
+    tremble = stability._profile_from_doc(cleo, check["tremble"])
+    pert = perturb_game(nf, PerturbationSpec(tremble, check["delta"]))
+    target = stability._profile_from_doc(cleo, scenario["profiles"]["sigma"])
+    found = find_equilibrium_near(pert, target, epsilon=1e-2)
+    assert found is not None
+    assert nfev and sum(nfev) <= 10
 
 
 def test_box_vertices():
@@ -469,8 +544,9 @@ def test_support_jacobian_matches_central_differences(nf, data):
 def test_exact_start_makes_no_least_squares_call(monkeypatch):
     """A strict pure equilibrium as the target solves its own support with
     residual exactly 0, so the search accepts it without least_squares.
-    From that start least_squares, with the analytic or the finite-difference
-    Jacobian, returns the start itself, so the profile is the same."""
+    From that start least_squares, by lm or trf, with the analytic or the
+    finite-difference Jacobian, returns the start itself, so the profile is
+    the same."""
     game = _simultaneous_game([2, 2], [(3, 3), (0, 5), (5, 0), (1, 1)])
     pert = perturb_game(game, PerturbationSpec(uniform_tremble(game), 1e-3))
     target = {"P1": mix(game, "P1", {"a1": 1}), "P2": mix(game, "P2", {"b1": 1})}
@@ -490,6 +566,8 @@ def test_exact_start_makes_no_least_squares_call(monkeypatch):
     residual, jacobian = stability._support_system(pert, ((1,), (1,)))
     start = np.ones(2)
     assert not np.any(residual(start))
-    for jac in (jacobian, "2-point"):
-        sol = real(residual, start, jac=jac, xtol=1e-14, ftol=1e-14, gtol=1e-14)
+    for method, jac in itertools.product(("lm", "trf"), (jacobian, "2-point")):
+        sol = real(
+            residual, start, jac=jac, method=method, xtol=1e-14, ftol=1e-14, gtol=1e-14
+        )
         assert np.array_equal(sol.x, start)
