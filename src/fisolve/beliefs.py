@@ -15,11 +15,10 @@ inherits from the parent by Bayes rule (positive mass on the child event) or
 the parent assigns the child event zero mass and the child restarts freely.
 Fixing one choice per edge makes every requirement linear after clearing
 denominators, so each pattern is one LP over rationals that maximizes a
-slack. Float proposes, rational checks (`lp.positive_max`): a pattern is
-refuted only by a float dual certificate that passed an exact rational
-check, and a strictly positive max-slack is confirmed by the exact simplex,
-whose solution is the witness. Patterns are few because the forests of real
-games are shallow.
+slack. The exact simplex decides it (`lp.positive_max`): a pattern is kept
+when the max-slack is strictly positive, and the optimal point is the
+witness; otherwise it is refuted. Patterns are few because the forests of
+real games are shallow.
 
 A query decides in this order: an empty allowed set refutes; pure
 conditional dominance refutes; a lexicographic point system keeps; the
@@ -38,8 +37,8 @@ strategy profiles and one common denominator L > 0. A rationality row is
 the difference of two integer rows, L * (u(s, .) - u(alt, .)). Dominance
 and point checks read its signs, and the optimality checks compare two
 expectations under the same weights, so the factor L changes none of them.
-Only the pattern LP divides by L, so its coefficients are the payoff
-differences themselves.
+The pattern LP takes the integer rows as they are: it stores every row as
+coprime integers, so a row scaled by L > 0 is the same row to the simplex.
 
 The same machinery answers a coupled query used when restrictions are given
 implicitly as "agrees on a set of events with some member of a smaller CPS
@@ -169,10 +168,9 @@ class BeliefSpace:
             h: frozenset(s.index for s in game.strategies_reaching(player, h))
             for h in self.infosets
         }
-        # numerators[s][t] / denominator = u_i(own strategy s, combo t).
-        table = game.payoff_table()
-        self.denominator = table.denominators[game.players.index(player)]
-        self.numerators = table.rows(player)
+        # numerators[s][t] / L = u_i(own strategy s, combo t), with L > 0
+        # the payoff table's denominator for the player.
+        self.numerators = game.payoff_table().rows(player)
         self._rationality = {}
         self._empty = {}  # clause map -> first empty infoset or None
 
@@ -815,7 +813,7 @@ def _solve_one(space, bundles, block_of, fresh, zero_rows, eps_rows):
                 for t, d in diff.items():
                     col = term(key, t)
                     if col is not None:
-                        r[col] = Fraction(d, space.denominator)
+                        r[col] = d
                 rows.append((r, lp.GE, ZERO))
 
     x = lp.positive_max(ncols, {eps: ONE}, rows)

@@ -1,11 +1,8 @@
 """Exact simplex unit tests, cross-checked against scipy on random LPs, and
-the float-proposes, rational-checks entry `positive_max` checked against the
-exact simplex."""
+`positive_max` checked against the simplex it calls."""
 
 import random
 from fractions import Fraction
-from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -63,6 +60,11 @@ def test_degenerate_vertex_terminates():
     res = lp.solve(2, [1, 2], rows)
     assert res.status == "optimal"
     assert res.value == 2
+    # Both rows tie in the first ratio test; the one whose basic variable has
+    # the lower index leaves, and that fixes which optimal vertex is returned.
+    res = lp.solve(3, [0, 1, 2], [([1, 1, 0], lp.LE, 1), ([0, 2, 2], lp.LE, 2)])
+    assert res.value == 2
+    assert res.x == [1, 0, 1]
 
 
 def test_dict_coefficients():
@@ -77,6 +79,20 @@ def test_exactness_no_rounding():
     assert res.value == Fraction(1, 7)
 
 
+def test_beale_cycling_example_terminates():
+    """Beale's LP cycles under the largest-coefficient entering rule; Bland's
+    rule reaches the optimum 5/4 at x = (1, 0, 1, 0)."""
+    rows = [
+        ([Fraction(1, 4), -8, -1, 9], lp.LE, 0),
+        ([Fraction(1, 2), -12, Fraction(-1, 2), 3], lp.LE, 0),
+        ([0, 0, 1, 0], lp.LE, 1),
+    ]
+    res = lp.solve(4, [Fraction(3, 4), -20, Fraction(1, 2), -6], rows)
+    assert res.status == "optimal"
+    assert res.value == Fraction(5, 4)
+    assert res.x == [1, 0, 1, 0]
+
+
 def test_zero_objective_feasible_point():
     x = lp.feasible(2, [([1, 1], lp.EQ, 1), ([1, -1], lp.EQ, 0)])
     assert x == [Fraction(1, 2), Fraction(1, 2)]
@@ -86,14 +102,19 @@ def test_zero_objective_feasible_point():
 def test_random_cross_check_scipy(seed):
     """Random small LPs: status and optimal value must match scipy.linprog."""
     rng = random.Random(seed)
+
+    def draw(lo, hi):
+        # Integers and fractions, so the tableau has denominators to clear.
+        return Fraction(rng.randint(lo, hi), rng.choice([1, 1, 2, 3, 7]))
+
     n = rng.randint(1, 4)
     m = rng.randint(1, 5)
-    obj = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
+    obj = [draw(-5, 5) for _ in range(n)]
     rows = []
     for _ in range(m):
-        coefs = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
+        coefs = [draw(-4, 4) for _ in range(n)]
         op = rng.choice([lp.LE, lp.GE, lp.EQ])
-        rhs = Fraction(rng.randint(-3, 6))
+        rhs = draw(-3, 6)
         rows.append((coefs, op, rhs))
     # Keep scipy away from unbounded warnings by boxing the variables.
     rows.append(([1] * n, lp.LE, 50))
@@ -149,53 +170,37 @@ def small_lps(draw):
 @settings(max_examples=200, deadline=None)
 @given(small_lps())
 def test_positive_max_agrees_with_exact_simplex(prog):
-    """With the size cut-off at 0 every program takes the float side."""
     n, obj, rows = prog
     res = lp.solve(n, obj, rows)
-    with mock.patch.object(lp, "_FLOAT_MIN_SIZE", 0):
-        got = lp.positive_max(n, obj, rows)
+    got = lp.positive_max(n, obj, rows)
     if res.status != "optimal" or res.value <= 0:
         assert got is None
     else:
         assert got == res.x
 
 
-def counts(**nonzero):
-    return dict(dict.fromkeys(lp.COUNTS, 0), **nonzero)
+positive_rationals = st.fractions(min_value=Fraction(1, 50), max_value=50)
 
 
-@pytest.fixture
-def float_side(monkeypatch):
-    """Send every program, however small, to the float side."""
-    monkeypatch.setattr(lp, "_FLOAT_MIN_SIZE", 0)
-    lp.reset_counts()
+@settings(max_examples=200, deadline=None)
+@given(small_lps(), st.data())
+def test_positive_row_scaling_leaves_the_solution_unchanged(prog, data):
+    """The tableau keeps each row as coprime integers, so scaling a row or the
+    objective by a positive rational is invisible to every pivot."""
+    n, obj, rows = prog
+    k = data.draw(positive_rationals)
+    scaled_obj = [k * c for c in obj]
+    scaled_rows = []
+    for coefs, op, rhs in rows:
+        k = data.draw(positive_rationals)
+        scaled_rows.append(([k * a for a in coefs], op, k * rhs))
+    res = lp.solve(n, obj, rows)
+    got = lp.solve(n, scaled_obj, scaled_rows)
+    assert got.status == res.status
+    assert got.x == res.x
 
 
-# max eps s.t. x - eps >= 0, x <= 0, eps <= 1: the maximum is 0, and the
-# dual y = (-1, 1, 0) proves it.
-REFUTED = (2, {1: 1}, [({0: 1, 1: -1}, lp.GE, 0), ({0: 1}, lp.LE, 0), ({1: 1}, lp.LE, 1)])
-
-
-def test_small_program_skips_the_float_side(monkeypatch):
-    def no_float(*args):
-        raise AssertionError("HiGHS ran")
-
-    monkeypatch.setattr(lp, "_float_dual", no_float)
-    lp.reset_counts()
-    assert lp.positive_max(*REFUTED) is None
-    assert lp.COUNTS == counts(small=1)
-
-
-def test_refutation_is_certified_without_the_simplex(float_side, monkeypatch):
-    def no_simplex(*args):
-        raise AssertionError("exact simplex ran")
-
-    monkeypatch.setattr(lp, "solve", no_simplex)
-    assert lp.positive_max(*REFUTED) is None
-    assert lp.COUNTS == counts(certified=1)
-
-
-def test_positive_maximum_takes_the_exact_path(float_side):
+def test_positive_maximum_takes_the_exact_path():
     # max eps s.t. x0 + x1 == 1, x0 - eps >= 0, x1 - eps >= 0, eps <= 1
     rows = [
         ({0: 1, 1: 1}, lp.EQ, 1),
@@ -205,35 +210,3 @@ def test_positive_maximum_takes_the_exact_path(float_side):
     ]
     x = lp.positive_max(3, {2: 1}, rows)
     assert x == lp.solve(3, {2: 1}, rows).x == [Fraction(1, 2)] * 3
-    assert lp.COUNTS == counts(positive=1)
-
-
-@pytest.mark.parametrize(
-    "corrupt",
-    [lambda y: y * 0.5, lambda y: -y, lambda y: y + 1e-3],
-    ids=["scaled", "wrong-sign", "perturbed"],
-)
-def test_corrupt_float_dual_falls_back(float_side, monkeypatch, corrupt):
-    float_dual = lp._float_dual
-
-    def proposing(*args):
-        res = float_dual(*args)
-        res.x = corrupt(res.x)
-        return res
-
-    monkeypatch.setattr(lp, "_float_dual", proposing)
-    assert lp.positive_max(*REFUTED) is None
-    assert lp.COUNTS == counts(fallback=1)
-
-
-def test_wrong_sign_dual_cannot_refute_a_positive_lp(float_side, monkeypatch):
-    """max x s.t. x >= 0, x <= 1 has value 1. The proposal y = (1, 0) meets
-    A^T y >= c and b.y <= 0 but has the wrong sign on the >= row, so it is
-    zeroed there, the check fails and the exact simplex answers."""
-    monkeypatch.setattr(
-        lp,
-        "_float_dual",
-        lambda *args: SimpleNamespace(status=0, fun=0.0, x=np.array([1.0, 0.0])),
-    )
-    assert lp.positive_max(1, [1], [([1], lp.GE, 0), ([1], lp.LE, 1)]) == [1]
-    assert lp.COUNTS == counts(fallback=1)

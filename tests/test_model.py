@@ -132,7 +132,6 @@ def test_payoff_table_matches_the_tree_walk(bribe, cleo):
                 assert Fraction(table.numerators[k][table.leaf_of[idx]], L) == exact
                 assert tensors[p][idx] == float(exact)
             sp = beliefs.space_for(game, p)
-            assert sp.denominator == L
             for s in game.strategies(p):
                 for t, opp in enumerate(sp.combos):
                     prof = dict({q.player: q for q in opp}, **{p: s})
