@@ -439,7 +439,9 @@ def best_replies(game, player, cps):
 
 
 def clause_row(space, clause):
-    """Flatten one restriction clause into (coefs over the event, op, rhs)."""
+    """Flatten one restriction clause into (coefs over the event, op, rhs),
+    with the clause's own lp operator and Fraction rhs. The engine, the
+    parser's polytope check and the grid oracle all build clause rows here."""
     ev = space.event[clause.infoset]
     coefs = {}
     for t in ev:
@@ -450,8 +452,7 @@ def clause_row(space, clause):
                 acc += coef
         if acc:
             coefs[t] = acc
-    op = {"<=": lp.LE, ">=": lp.GE, "=": lp.EQ}[clause.op]
-    return coefs, op, Fraction(clause.rhs)
+    return coefs, clause.op, clause.rhs
 
 
 def empty_restriction_infosets(game, player, clauses):

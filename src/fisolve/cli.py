@@ -35,6 +35,16 @@ PROCEDURES = (
 
 _NEED_RESTRICTIONS = ("strong-delta", "selective", "no-s3")
 
+# Exit code per failure, as listed in the module docstring; the first row
+# whose types match wins.
+_EXIT_CODES = (
+    ((dsl.DslError, OSError, json.JSONDecodeError, stability.StabilityError), 2),
+    ((ModelError, beliefs.BeliefError), 3),
+    ((solvers.PreconditionViolated,), 4),
+    ((oracle.OracleSoundnessFailure,), 5),
+)
+_FAILURES = tuple(t for types, _ in _EXIT_CODES for t in types)
+
 
 def _build_parser():
     p = argparse.ArgumentParser(
@@ -132,27 +142,9 @@ def main(argv=None):
 
     try:
         return _dispatch(args, compare_names)
-    except dsl.DslError as exc:
+    except _FAILURES as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except stability.StabilityError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except ModelError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
-    except beliefs.BeliefError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
-    except solvers.PreconditionViolated as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 4
-    except oracle.OracleSoundnessFailure as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 5
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
 def _dispatch(args, compare_names):

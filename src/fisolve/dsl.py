@@ -17,14 +17,16 @@ opponent strategy events:
 Atoms inside P[...] are conjunctions: `J @ g = a` fixes opponent J's action at
 J's infoset g, `J = s` fixes J's full strategy by label, and `reach(x)` is
 sugar for the opponents' actions on the path to node or leaf x. Numbers are
-exact rationals: integers, p/q, or decimal literals.
+exact rationals: integers, p/q, or decimal literals. The operators `<=`, `>=`
+and `=` are the `lp` module's own, so a clause becomes a linear row
+(`beliefs.clause_row`) without translation.
 """
 
 import json
 import re
 from fractions import Fraction
 
-from . import lp
+from . import beliefs
 from .model import DecisionNode, GameTree, InfoSet, Leaf
 
 
@@ -383,16 +385,6 @@ class Event:
                     return False
         return True
 
-    def describe(self, game):
-        parts = []
-        for kind, player, a, b in self.atoms:
-            if kind == "action":
-                isname = game.player_infosets[player][a]
-                parts.append("%s @ %s = %s" % (player, isname, game.infosets[isname].actions[b]))
-            else:
-                parts.append("%s = %s" % (player, game.strategies(player)[b].name))
-        return ", ".join(parts)
-
 
 class LinearClause:
     """sum(coef * P[event]) op rhs, bound to one infoset of the owner."""
@@ -401,7 +393,7 @@ class LinearClause:
         self.player = player
         self.infoset = infoset
         self.terms = tuple(terms)  # (Fraction, Event)
-        self.op = op  # '<=', '>=', '='
+        self.op = op  # '<=', '>=', '=': also the lp module's spellings
         self.rhs = Fraction(rhs)
         self.source = source
 
@@ -417,20 +409,6 @@ class RestrictionProfile:
 
     def clauses_for(self, player):
         return self.by_player.get(player, {})
-
-    def declared_infosets(self, player):
-        return [h for h, cls in self.clauses_for(player).items() if cls]
-
-    def is_trivial(self):
-        return all(not v for v in self.by_player.values())
-
-    def describe(self):
-        lines = []
-        for p in self.game.players:
-            for h, cls in self.by_player[p].items():
-                for cl in cls:
-                    lines.append("%s at %s: %s" % (p, h, cl.source))
-        return lines
 
 
 _RE_PLAYER = re.compile(r"^player\s+(%s)$" % _NAME)
@@ -508,23 +486,13 @@ def _parse_atom(game, owner, text, lineno):
     raise DslSyntaxError("cannot parse atom %r" % (text,), lineno)
 
 
-def _clause_feasible(game, clause):
-    """One clause alone, over the simplex on the conditioning event."""
-    combos = game.joint_reaching(clause.player, clause.infoset)
-    n = len(combos)
-    row = [Fraction(0)] * n
-    for t, combo in enumerate(combos):
-        by_player = {s.player: s for s in combo}
-        for coef, event in clause.terms:
-            if event.matches(by_player):
-                row[t] += coef
-    op = {"<=": lp.LE, ">=": lp.GE, "=": lp.EQ}[clause.op]
-    rows = [([Fraction(1)] * n, lp.EQ, Fraction(1)), (row, op, clause.rhs)]
-    return lp.feasible(n, rows) is not None
-
-
 def parse_restrictions(text, game):
-    """Parse a restriction file against a game; returns a RestrictionProfile."""
+    """Parse a restriction file against a game; returns a RestrictionProfile.
+
+    Each clause is checked alone with the solver's own polytope check
+    (`beliefs.empty_restriction_infosets`), so this builds the player's
+    belief space and raises `beliefs.UnsupportedBeliefStructure` for a game
+    the engine cannot solve."""
     clauses = []
     current = None
     for lineno, indent, line in _logical_lines(text):
@@ -569,7 +537,7 @@ def parse_restrictions(text, game):
                     atoms.extend(_parse_atom(game, current, atom_text, lineno))
                 terms.append((sign * coef, Event(atoms)))
             clause = LinearClause(current, isname, terms, op, rhs, source=rest.strip())
-            if not _clause_feasible(game, clause):
+            if beliefs.empty_restriction_infosets(game, current, {isname: [clause]}):
                 raise InfeasibleClause(
                     "clause %r cannot hold on any belief at %s" % (rest.strip(), isname),
                     lineno,

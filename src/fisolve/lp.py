@@ -14,7 +14,8 @@ each solution, is the one the rational tableau would take. A basic variable
 is read off as rhs_i / row_i[basis_i].
 
 Variables are implicitly nonnegative (every caller's unknowns are probability
-masses or slack-like quantities). Constraints may be <=, >= or ==.
+masses or slack-like quantities). Constraints may be <=, >= or =, spelled as
+in restriction files, so a parsed clause's operator already is an lp operator.
 """
 
 from fractions import Fraction
@@ -22,7 +23,7 @@ from math import gcd, lcm
 
 LE = "<="
 GE = ">="
-EQ = "=="
+EQ = "="
 
 _OPS = (LE, GE, EQ)
 
@@ -70,7 +71,8 @@ def solve(num_vars, objective, rows):
     """Maximize objective . x subject to rows, x >= 0.
 
     objective: dict or sequence of coefficients.
-    rows: iterable of (coeffs, op, rhs) with op one of '<=', '>=', '=='.
+    rows: iterable of (coeffs, op, rhs) with op one of LE, GE, EQ
+    ('<=', '>=', '=').
     """
     c = _as_row(objective, num_vars)
     norm = []

@@ -7,13 +7,17 @@ this is exactly the set of conditionals all of whose weights have reduced
 denominator at most 4: denominators 1 and 2 embed in the quarter grid, and
 no distribution can mix thirds with quarters and still sum to one.
 
-Candidates are filtered per infoset against mandates, restriction clauses,
-and local optimality of the queried strategy, then paired across infosets by
-checking the chain rule literally on every nested pair. The oracle shares no
-code with the pattern search in the engine: it never looks at event groups,
-inclusion forests, or linear programs, so agreement between the two is
-meaningful evidence. Payoffs come from the game's payoff table, as in the
-engine; tests check that table against the tree walk `GameTree.payoff`.
+The grid of each shape (number of cells, bound) is built once per process
+and reused by every query. Candidates are filtered per infoset against
+mandates, restriction clauses, and local optimality of the queried strategy,
+then paired across infosets by checking the chain rule literally on every
+nested pair. A clause means what it means to the engine: its row comes from
+`beliefs.clause_row`, once per infoset, and is compared by `beliefs._holds`.
+The oracle shares no code with the pattern search in the engine: it never
+looks at event groups, inclusion forests, or linear programs, so agreement
+between the two is meaningful evidence. Payoffs come from the game's payoff
+table, as in the engine; tests check that table against the tree walk
+`GameTree.payoff`.
 
 Complete only up to grid resolution. When the engine finds a witness and the
 oracle does not, that is a GridTooCoarse advisory, not a bug; the converse
@@ -21,6 +25,7 @@ disagreement is a soundness failure in the engine and is never acceptable.
 """
 
 from fractions import Fraction
+from functools import cache
 
 from . import beliefs
 
@@ -53,14 +58,18 @@ def _compositions(total, cells):
             yield (first,) + rest
 
 
+@cache
 def _candidates(ncells, bound):
-    seen = set()
+    """Every grid vector over ncells cells, in first-seen order, built once
+    per shape. The dict drops the repeats a coarser step shares with a finer
+    one; the vectors of one step share its weight objects, which keeps the
+    cached grids about five times smaller."""
+    vecs = {}
     for d in grid_steps(bound):
+        weights = [Fraction(c, d) for c in range(d + 1)]
         for comp in _compositions(d, ncells):
-            vec = tuple(Fraction(c, d) for c in comp)
-            if vec not in seen:
-                seen.add(vec)
-                yield vec
+            vecs.setdefault(tuple(weights[c] for c in comp))
+    return tuple(vecs)
 
 
 def oracle_cps_search(
@@ -84,6 +93,7 @@ def oracle_cps_search(
     per_infoset = []
     for h in sp.infosets:
         ev = sorted(sp.event[h])
+        clause_rows = [beliefs.clause_row(sp, cl) for cl in clauses.get(h, ())]
         ok = []
         for vec in _candidates(len(ev), denominator):
             row = {t: w for t, w in zip(ev, vec) if w}
@@ -91,7 +101,14 @@ def oracle_cps_search(
                 (w for t, w in row.items() if t in allowed[h]), ZERO
             ) != 1:
                 continue
-            if not _clauses_hold(sp, h, row, clauses.get(h, ())):
+            if not all(
+                beliefs._holds(
+                    sum((row.get(t, ZERO) * c for t, c in coefs.items()), ZERO),
+                    op,
+                    rhs,
+                )
+                for coefs, op, rhs in clause_rows
+            ):
                 continue
             if si in sp.reach[h] and not _locally_best(sp, h, row, si):
                 continue
@@ -135,19 +152,6 @@ def _chain(big, small, small_event):
     mass = sum((w for t, w in big.items() if t in small_event), ZERO)
     for t in small_event:
         if small.get(t, ZERO) * mass != big.get(t, ZERO):
-            return False
-    return True
-
-
-def _clauses_hold(space, infoset, row, cls):
-    for cl in cls:
-        coefs, op, rhs = beliefs.clause_row(space, cl)
-        val = sum((row.get(t, ZERO) * c for t, c in coefs.items()), ZERO)
-        if op == "<=" and val > rhs:
-            return False
-        if op == ">=" and val < rhs:
-            return False
-        if op == "==" and val != rhs:
             return False
     return True
 

@@ -9,7 +9,7 @@ import pytest
 
 from fisolve import cli, oracle
 
-from conftest import GAMES
+from conftest import GAMES, TANGLE
 
 
 BRIBE = str(GAMES / "bribe.game")
@@ -409,38 +409,43 @@ def test_unsupported_belief_structure_exits_three(capsys, tmp_path):
     # Ann's third infoset conditions on an event with two incomparable
     # strict supersets, which the surprise-order engine refuses.
     tangle = tmp_path / "tangle.game"
-    tangle.write_text(
-        "game tangle\n"
-        "players Ann Bob\n"
-        "tree\n"
-        "  node root owner Bob\n"
-        "    b1 -> node g1 owner Ann\n"
-        "      x -> node h1a owner Ann\n"
-        "        u -> leaf (1, 0)\n"
-        "        v -> leaf (0, 0)\n"
-        "      y -> leaf (0, 0)\n"
-        "    b2 -> node g2 owner Ann\n"
-        "      x -> node h1b owner Ann\n"
-        "        u -> node h0a owner Ann\n"
-        "          p -> leaf (1, 0)\n"
-        "          q -> leaf (0, 0)\n"
-        "        v -> leaf (0, 0)\n"
-        "      y -> node h2a owner Ann\n"
-        "        c -> leaf (0, 0)\n"
-        "        d -> leaf (1, 0)\n"
-        "    b3 -> node g3 owner Ann\n"
-        "      x -> leaf (0, 0)\n"
-        "      y -> node h2b owner Ann\n"
-        "        c -> leaf (1, 0)\n"
-        "        d -> leaf (0, 0)\n"
-        "infosets\n"
-        "  g: Ann { g1 g2 g3 }\n"
-        "  h1: Ann { h1a h1b }\n"
-        "  h2: Ann { h2a h2b }\n"
-    )
+    tangle.write_text(TANGLE)
     code, _, err = run(capsys, "--game", str(tangle), "--procedure", "rationalizability")
     assert code == 3
     assert "error:" in err
+
+
+def test_perfect_recall_violation_exits_three(capsys, tmp_path):
+    # At the pooled second move, A no longer knows whether x or y was played.
+    forgetful = tmp_path / "forgetful.game"
+    forgetful.write_text(
+        "game forgetful\n"
+        "players A B\n"
+        "tree\n"
+        "  node r owner A\n"
+        "    x -> node m1 owner A\n"
+        "      c -> leaf (0, 0)\n"
+        "      d -> leaf (1, 0)\n"
+        "    y -> node m2 owner A\n"
+        "      c -> leaf (0, 0)\n"
+        "      d -> leaf (2, 0)\n"
+        "infosets\n"
+        "  second: A { m1 m2 }\n"
+    )
+    code, out, err = run(capsys, "--game", str(forgetful), "--procedure", "rationalizability")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_scenario_that_is_not_json_exits_two(capsys, tmp_path):
+    path = tmp_path / "bad.scenario"
+    path.write_text("checks: none\n")
+    code, out, err = run(capsys, "--game", CLEO, "--stability-scenario", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: Expecting value")
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 def test_dead_infoset_restriction_exits_four(capsys, tmp_path):

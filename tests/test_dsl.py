@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from fisolve import dsl, randgen, solvers
+from fisolve import beliefs, dsl, randgen, solvers
+
+from conftest import TANGLE
 
 
 MINI = """
@@ -103,7 +105,6 @@ def test_parse_point_restriction(bribe):
     cl = clauses["ann_root"][0]
     assert cl.op == "="
     assert cl.rhs == 1
-    assert not delta.is_trivial()
     assert delta.clauses_for("Bob") == {}
 
 
@@ -145,6 +146,16 @@ def test_restriction_unknown_strategy(bribe):
 def test_infeasible_clause_rejected(bribe):
     with pytest.raises(dsl.InfeasibleClause):
         dsl.parse_restrictions("player Ann\n  at ann_root: P[Bob = R] = 2\n", bribe)
+    with pytest.raises(dsl.InfeasibleClause):
+        dsl.parse_restrictions("player Ann\n  at ann_root: P[Bob = R] >= 3/2\n", bribe)
+
+
+def test_restrictions_on_a_non_forest_game_rejected_at_parse():
+    # The parser checks each clause with the solver's polytope check, which
+    # builds the player's belief space and so refuses the structure at once.
+    game = dsl.parse_game(TANGLE)
+    with pytest.raises(beliefs.UnsupportedBeliefStructure):
+        dsl.parse_restrictions("player Ann\n  at g: P[Bob = b2] <= 1/2\n", game)
 
 
 def test_wrong_game_header(bribe):
@@ -153,8 +164,9 @@ def test_wrong_game_header(bribe):
 
 
 def test_restriction_fixture_sources(bribe, bribe_delta):
-    assert bribe_delta.declared_infosets("Ann") == ["ann_root"]
-    assert any("R" in line for line in bribe_delta.describe())
+    clauses = bribe_delta.clauses_for("Ann")
+    assert list(clauses) == ["ann_root"]
+    assert [cl.source for cl in clauses["ann_root"]] == ["P[Bob @ bob_after_b = R] = 1"]
 
 
 # -- solution serialization --------------------------------------------------

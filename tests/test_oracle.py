@@ -118,6 +118,21 @@ def test_grid_too_coarse_is_possible(bribe):
     )
 
 
+def test_equality_clause_on_the_threshold(bribe):
+    """An equality clause leaves a single point, so the oracle must check
+    it exactly. B.I is optimal at ann_root iff P(A) >= 2/3: pinned at 2/3
+    it survives on the D=4 grid only; pinned at 1/3 it has no witness."""
+    b_i = strat(bribe, "Ann", "B.I")
+
+    def verdict(text, denominator):
+        pin = dsl.parse_restrictions("player Ann\n  at ann_root: %s\n" % text, bribe)
+        return oracle.concordance_verdict(bribe, "Ann", b_i, (), pin, denominator)
+
+    assert verdict("P[Bob = A] = 2/3", 4) == "agree-witness"
+    assert verdict("P[Bob = A] = 2/3", 2) == "grid-too-coarse"
+    assert verdict("P[Bob = A] = 1/3", 4) == "agree-none"
+
+
 def test_contradictory_restrictions_agree_none(bribe):
     text = (
         "player Ann\n"
