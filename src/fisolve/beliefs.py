@@ -26,16 +26,31 @@ pattern LPs decide the rest. Dominance means some alternative at a reached
 infoset earns strictly more than the strategy at every combo its event group
 may believe. It is sound because mandates and support clauses are folded
 into the allowed sets, so every admissible conditional of that group puts
-all its mass where the alternative is strictly better (Pearce 1984). Both
-early exits are exact comparisons and set lookups, with no LP; only the
-point and pattern steps produce witnesses. `COUNTS` records which step
-after the allowed-set check settled each query.
+all its mass where the alternative is strictly better (Pearce 1984). Only
+the point and pattern steps produce witnesses. `COUNTS` records which step
+settled each query.
+
+Everything before the pattern LPs is mask algebra. A set of a player's
+opponent combos is a Python int whose bit t stands for combo t (the combos'
+mixed-radix index); events, allowed sets and clause-good sets are such
+masks. The space holds each player's sign masks from one exact comparison
+pass over the payoff table: `lt(s, a)` has bit t set iff u(s, t) < u(a, t).
+A rationality row of strategy s against alternative a at infoset h is then
+`lt(s, a) & event(h)`, the combos where the row is negative; a group is
+dominated when some row covers its allowed set, and its good points are the
+allowed, clause-good combos outside every row. The part of a query that no
+strategy changes (allowed masks, clause rows, clause-good masks, the point
+order and each group's first point) is prepared once per obligation set and
+restrictions and cached on the space, so every strategy of a round and every
+re-query that names an elimination's reason reuses it. The LP rows of a
+strategy (integer payoff differences) are built only when its pattern LPs
+run.
 
 Payoffs come from the game's exact payoff table (`GameTree.payoff_table`),
 built in one walk of the tree: per player, Python-int numerators over the
 strategy profiles and one common denominator L > 0. A rationality row is
-the difference of two integer rows, L * (u(s, .) - u(alt, .)). Dominance
-and point checks read its signs, and the optimality checks compare two
+the difference of two integer rows, L * (u(s, .) - u(alt, .)). The sign
+masks are its signs, and the optimality checks compare two
 expectations under the same weights, so the factor L changes none of them.
 The pattern LP takes the integer rows as they are: it stores every row as
 coprime integers, so a row scaled by L > 0 is the same row to the simplex.
@@ -50,18 +65,21 @@ set or a linear row on one event group's conditional.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
+
+import numpy as np
 
 from . import lp
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# How `_admissible` settled its queries past the empty-allowed-set check: by
-# pure conditional dominance ("dominated"), by a lexicographic point system
-# ("point"), or by the pattern LPs ("patterns_kept", "patterns_refuted").
+# How `_admissible` settled its queries: an empty allowed set ("empty"), pure
+# conditional dominance ("dominated"), a lexicographic point system
+# ("point"), or the pattern LPs ("patterns_kept", "patterns_refuted").
 COUNTS = dict.fromkeys(
-    ("dominated", "point", "patterns_kept", "patterns_refuted"), 0
+    ("empty", "dominated", "point", "patterns_kept", "patterns_refuted"), 0
 )
 
 
@@ -98,6 +116,34 @@ class UnsupportedBeliefStructure(BeliefError):
     """
 
 
+def _mask(ts):
+    """The mask of a collection of combo indices."""
+    m = 0
+    for t in ts:
+        m |= 1 << t
+    return m
+
+
+def _bits(mask):
+    """The combo indices of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _first_in(mask, levels):
+    """The first combo of a nonempty mask in a point order: `levels` are
+    disjoint masks, earlier levels first, ascending index within a level."""
+    for level in levels:
+        hit = mask & level
+        if hit:
+            return (hit & -hit).bit_length() - 1
+    raise ValueError("empty mask")
+
+
 def space_for(game, player):
     cache = getattr(game, "_belief_spaces", None)
     if cache is None:
@@ -111,7 +157,8 @@ def space_for(game, player):
 
 
 class BeliefSpace:
-    """Derived belief-side structure for one player: events, groups, forest."""
+    """Derived belief-side structure for one player: events, groups, forest,
+    sign masks, and the cache of prepared queries."""
 
     def __init__(self, game, player):
         self.game = game
@@ -119,28 +166,29 @@ class BeliefSpace:
         self.opponents = tuple(p for p in game.players if p != player)
         self.opp_pos = {p: k for k, p in enumerate(self.opponents)}
 
-        self.combos = tuple(product(*(game.strategies(j) for j in self.opponents)))
-        self.index_of = {
-            tuple(s.index for s in combo): t for t, combo in enumerate(self.combos)
-        }
+        strategies = [game.strategies(j) for j in self.opponents]
+        # Combo t is the mixed-radix number of its components' indices, the
+        # first opponent most significant.
+        self.radix = tuple(len(ss) for ss in strategies)
+        self.combos = tuple(product(*strategies))
+        self.full = (1 << len(self.combos)) - 1
 
         self.infosets = tuple(game.player_infosets[player])
         self.event = {}
+        self.event_mask = {}
+        by_event = {}
         for h in self.infosets:
-            idxs = frozenset(
-                self.index_of[tuple(s.index for s in combo)]
-                for combo in game.joint_reaching(player, h)
-            )
-            self.event[h] = idxs
+            ts = game.joint_reaching(player, h)
+            ev = frozenset(ts)
+            self.event[h] = ev
+            self.event_mask[h] = _mask(ts)
+            by_event.setdefault(ev, (tuple(ts), self.event_mask[h], []))[2].append(h)
 
         # Groups: one per distinct event, in a fixed topological order
         # (larger events first, so parents precede children).
-        by_event = {}
-        for h in self.infosets:
-            by_event.setdefault(self.event[h], []).append(h)
-        keys = sorted(by_event, key=lambda ev: (-len(ev), sorted(ev)))
+        keys = sorted(by_event, key=lambda ev: (-len(ev), by_event[ev][0]))
         self.groups = [
-            _Group(k, ev, tuple(by_event[ev]), tuple(sorted(ev)))
+            _Group(k, ev, by_event[ev][1], tuple(by_event[ev][2]), by_event[ev][0])
             for k, ev in enumerate(keys)
         ]
         self.group_of = {}
@@ -150,11 +198,11 @@ class BeliefSpace:
 
         self.parent = [None] * len(self.groups)
         for g in self.groups:
-            supers = [g2 for g2 in self.groups if g.event < g2.event]
+            supers = [g2 for g2 in self.groups if _strict_subset(g.mask, g2.mask)]
             minimal = [
                 g2
                 for g2 in supers
-                if not any(g3.event < g2.event for g3 in supers)
+                if not any(_strict_subset(g3.mask, g2.mask) for g3 in supers)
             ]
             if len(minimal) > 1:
                 raise UnsupportedBeliefStructure(
@@ -163,24 +211,96 @@ class BeliefSpace:
             if minimal:
                 self.parent[g.index] = minimal[0].index
 
-        # Own reachability per infoset, as index sets.
-        self.reach = {
-            h: frozenset(s.index for s in game.strategies_reaching(player, h))
+        # Own reachability per infoset: the strategy indices, ascending.
+        self.alts = {
+            h: tuple(s.index for s in game.strategies_reaching(player, h))
             for h in self.infosets
         }
-        # numerators[s][t] / L = u_i(own strategy s, combo t), with L > 0
-        # the payoff table's denominator for the player.
-        self.numerators = game.payoff_table().rows(player)
+        self.reach = {h: frozenset(alts) for h, alts in self.alts.items()}
+        # Sign masks from one comparison of the payoff ranks, packed
+        # little-endian: bit t of field a of _lt[s] is set iff s earns
+        # strictly less than a against combo t (see `lt`).
+        ranks = game.payoff_table().ranks(player)
+        packed = np.packbits(ranks[:, None, :] < ranks[None, :, :], axis=-1, bitorder="little")
+        self._lt_width = 8 * packed.shape[-1]
+        self._lt = [int.from_bytes(row.tobytes(), "little") for row in packed]
         self._rationality = {}
+        self._signs = {}
+        self._opp_reach = {}
+        self._queries = {}
         self._empty = {}  # clause map -> first empty infoset or None
+
+    @cached_property
+    def numerators(self):
+        """numerators[s][t] / L = u_i(own strategy s, combo t), with L > 0 the
+        payoff table's denominator for the player. Read by the LP rows, the
+        exact optimality checks and the oracle, not by the mask steps."""
+        return self.game.payoff_table().rows(self.player)
+
+    def lt(self, s, a):
+        """The mask of the combos where own strategy s earns strictly less
+        than own strategy a."""
+        return (self._lt[s] >> (a * self._lt_width)) & self.full
+
+    def opponent_reach(self, opponent, h):
+        """The opponent's strategy indices that allow own infoset h. Cached."""
+        key = (opponent, h)
+        got = self._opp_reach.get(key)
+        if got is None:
+            got = self._opp_reach[key] = frozenset(
+                s.index for s in self.game.strategies_reaching(opponent, h)
+            )
+        return got
+
+    def component_mask(self, opponent, indices):
+        """The combos whose component for the opponent is in `indices`."""
+        pos = self.opp_pos[opponent]
+        stride = 1
+        for size in self.radix[pos + 1 :]:
+            stride *= size
+        # Combo t has component (t // stride) % radix[pos].
+        block = (1 << stride) - 1
+        period = self.radix[pos] * stride
+        unit = 0
+        for k in indices:
+            unit |= block << (k * stride)
+        m = 0
+        for start in range(0, len(self.combos), period):
+            m |= unit << start
+        return m
+
+    def sign_rows(self, own_index):
+        """The rationality rows of an own strategy as masks: (rows, by_group).
+        rows lists the distinct (group index, mask) pairs, one per reached
+        infoset and alternative there, the mask holding the combos of the
+        infoset's event at which the alternative earns strictly more;
+        by_group ORs each group's masks. Cached."""
+        got = self._signs.get(own_index)
+        if got is None:
+            row = self._lt[own_index]
+            width = self._lt_width
+            rows = {}
+            by_group = {}
+            for h in self.infosets:
+                if own_index not in self.reach[h]:
+                    continue
+                gi = self.group_of[h]
+                ev = self.event_mask[h]
+                for alt in self.alts[h]:
+                    if alt != own_index:
+                        neg = (row >> (alt * width)) & ev
+                        rows[(gi, neg)] = None
+                        by_group[gi] = by_group.get(gi, 0) | neg
+            got = self._signs[own_index] = (tuple(rows), by_group)
+        return got
 
     def rationality_rows(self, own_index):
         """(group index, diff) for every own infoset the strategy reaches and
         every alternative there, where diff[t] = L * (u(own, t) - u(alt, t))
         over the infoset's event, an integer, nonzero entries only. L > 0 is
         the table's denominator, so signs and comparisons of sums with equal
-        weights are those of the payoff differences. Cached; callers must
-        not mutate the diffs."""
+        weights are those of the payoff differences. Built for the pattern
+        LPs only; cached; callers must not mutate the diffs."""
         rows = self._rationality.get(own_index)
         if rows is None:
             mine = self.numerators[own_index]
@@ -188,7 +308,7 @@ class BeliefSpace:
             for h in self.infosets:
                 if own_index not in self.reach[h]:
                     continue
-                for alt in sorted(self.reach[h]):
+                for alt in self.alts[h]:
                     if alt == own_index:
                         continue
                     other = self.numerators[alt]
@@ -205,12 +325,17 @@ class BeliefSpace:
         )
 
 
-class _Group:
-    __slots__ = ("index", "event", "infosets", "csorted")
+def _strict_subset(a, b):
+    return a != b and a & b == a
 
-    def __init__(self, index, event, infosets, csorted):
+
+class _Group:
+    __slots__ = ("index", "event", "mask", "infosets", "csorted")
+
+    def __init__(self, index, event, mask, infosets, csorted):
         self.index = index
         self.event = event
+        self.mask = mask
         self.infosets = infosets
         self.csorted = csorted
 
@@ -277,9 +402,15 @@ def _combo_index(space, combo):
         return combo
     if isinstance(combo, dict):
         combo = tuple(combo[j] for j in space.opponents)
-    return space.index_of[
-        tuple(s if isinstance(s, int) else s.index for s in combo)
-    ]
+    if len(combo) != len(space.radix):
+        raise KeyError(combo)
+    t = 0
+    for size, s in zip(space.radix, combo):
+        k = s if isinstance(s, int) else s.index
+        if not 0 <= k < size:
+            raise KeyError(combo)
+        t = t * size + k
+    return t
 
 
 def lexicographic_cps(game, player, order):
@@ -344,16 +475,23 @@ def explain_invalid_cps(game, player, cps):
 class MandateItem:
     """A labeled support obligation: at each listed infoset, conditional mass
     must be 1 on the allowed combo set. Infosets not listed are unconstrained
-    (the obligation is inactive there)."""
+    (the obligation is inactive there). The sets are held as masks
+    ({infoset: mask}); `allowed` spells them out as index sets. `key()`
+    identifies the obligation and is computed once."""
 
-    __slots__ = ("label", "allowed")
+    __slots__ = ("label", "masks", "_key")
 
-    def __init__(self, label, allowed):
+    def __init__(self, label, masks):
         self.label = label
-        self.allowed = {h: frozenset(ts) for h, ts in allowed.items()}
+        self.masks = masks
+        self._key = tuple(sorted(masks.items()))
+
+    @property
+    def allowed(self):
+        return {h: frozenset(_bits(m)) for h, m in self.masks.items()}
 
     def key(self):
-        return tuple(sorted((h, tuple(sorted(ts))) for h, ts in self.allowed.items()))
+        return self._key
 
     def __repr__(self):
         return "MandateItem(%r)" % (self.label,)
@@ -367,39 +505,27 @@ def strong_belief_mandate(game, player, label, opponent, targets):
     """
     sp = space_for(game, player)
     tset = frozenset(s.index for s in targets)
-    jpos = sp.opp_pos[opponent]
-    allowed = {}
+    hits = sp.component_mask(opponent, tset)
+    masks = {}
     for h in sp.infosets:
-        reach_j = frozenset(
-            s.index for s in game.strategies_reaching(opponent, h)
-        )
-        if not (tset & reach_j):
-            continue
-        allowed[h] = frozenset(
-            t for t in sp.event[h] if sp.combos[t][jpos].index in tset
-        )
-    return MandateItem(label, allowed)
+        if not tset.isdisjoint(sp.opponent_reach(opponent, h)):
+            masks[h] = hits & sp.event_mask[h]
+    return MandateItem(label, masks)
 
 
 def joint_strong_belief_mandate(game, player, label, targets_by_player):
     """Correlated variant: strong belief in the product of opponent sets,
     active where the joint set meets the conditioning event."""
     sp = space_for(game, player)
-    tsets = {
-        sp.opp_pos[j]: frozenset(s.index for s in ss)
-        for j, ss in targets_by_player.items()
-    }
-    hits = frozenset(
-        t
-        for t in range(len(sp.combos))
-        if all(sp.combos[t][pos].index in ts for pos, ts in tsets.items())
-    )
-    allowed = {}
+    hits = sp.full
+    for j, ss in targets_by_player.items():
+        hits &= sp.component_mask(j, [s.index for s in ss])
+    masks = {}
     for h in sp.infosets:
-        inter = hits & sp.event[h]
+        inter = hits & sp.event_mask[h]
         if inter:
-            allowed[h] = inter
-    return MandateItem(label, allowed)
+            masks[h] = inter
+    return MandateItem(label, masks)
 
 
 def strongly_believes(game, player, cps, item_or_opponent, targets=None):
@@ -474,23 +600,43 @@ def empty_restriction_infosets(game, player, clauses):
 
 
 class _Bundle:
-    """Per-slot obligations, organized by event group."""
+    """One slot's obligations, organized by event group.
+
+    allowed: group index -> mask of the combos its conditional may charge
+    (mandates and support clauses, intersected); rows: group index -> the
+    other clause rows (coefs, op, rhs); strategy_index: the own strategy the
+    slot must make sequentially optimal, or None. The point data (each
+    group's clause-good mask, the point order and each group's first point)
+    depend on allowed and rows only; `_points` fills them once, and
+    `for_strategy` copies share them."""
+
+    __slots__ = ("space", "allowed", "rows", "strategy_index", "points")
 
     def __init__(self, space):
         self.space = space
-        self.allowed = {}       # group index -> set of combos (intersection)
-        self.rows = {}          # group index -> [(coefs, op, rhs)]
-        self.rationality = {}   # group index -> [diff coef dicts, >= 0]
+        self.allowed = {}
+        self.rows = {}
         self.strategy_index = None
+        self.points = None
 
-    def restrict(self, gi, ts):
+    def for_strategy(self, strategy_index):
+        """The same obligations plus sequential optimality of a strategy."""
+        b = _Bundle(self.space)
+        b.allowed = self.allowed
+        b.rows = self.rows
+        b.points = self.points
+        b.strategy_index = strategy_index
+        return b
+
+    def restrict(self, gi, mask):
         cur = self.allowed.get(gi)
-        self.allowed[gi] = set(ts) if cur is None else (cur & ts)
+        self.allowed[gi] = mask if cur is None else (cur & mask)
 
     def add_mandates(self, items):
+        group_of = self.space.group_of
         for item in items:
-            for h, ts in item.allowed.items():
-                self.restrict(self.space.group_of[h], ts)
+            for h, mask in item.masks.items():
+                self.restrict(group_of[h], mask)
 
     def add_clauses(self, clauses):
         for h, cls in clauses.items():
@@ -501,7 +647,7 @@ class _Bundle:
     def add_row(self, gi, coefs, op, rhs):
         """One linear row on group gi's conditional; a row that only pins
         the support becomes an allowed set."""
-        support = self._as_support(self.space.groups[gi].event, coefs, op, rhs)
+        support = self._as_support(self.space.groups[gi].mask, coefs, op, rhs)
         if support is None:
             self.rows.setdefault(gi, []).append((coefs, op, rhs))
         else:
@@ -512,28 +658,39 @@ class _Bundle:
         """Recognize clauses that just pin the support of the conditional.
 
         Unit-coefficient mass of 1 on a set M forces support inside M; mass
-        of 0 forces support outside M. Returns the allowed set or None.
+        of 0 forces support outside M. Returns the allowed mask or None.
         """
         if any(c != 1 for c in coefs.values()):
             return None
-        hit = frozenset(coefs)
+        hit = _mask(coefs)
         if rhs == 1 and op in (lp.EQ, lp.GE):
             return hit
         if rhs == 0 and op in (lp.EQ, lp.LE):
-            return frozenset(event) - hit
+            return event & ~hit
         return None
 
-    def add_rationality(self, strategy_index):
-        self.strategy_index = strategy_index
-        for gi, diff in self.space.rationality_rows(strategy_index):
-            self.rationality.setdefault(gi, []).append(diff)
+    @property
+    def signs(self):
+        """The strategy's sign rows, (rows, by_group); none without one."""
+        if self.strategy_index is None:
+            return (), {}
+        return self.space.sign_rows(self.strategy_index)
+
+    @property
+    def rationality(self):
+        """group index -> the strategy's integer LP rows, built on demand."""
+        out = {}
+        if self.strategy_index is not None:
+            for gi, diff in self.space.rationality_rows(self.strategy_index):
+                out.setdefault(gi, []).append(diff)
+        return out
 
     def satisfied_by(self, cps):
         """Exact check of every obligation against a concrete system."""
         sp = self.space
-        for gi, ts in self.allowed.items():
+        for gi, mask in self.allowed.items():
             h = sp.groups[gi].infosets[0]
-            if cps.mass(h, ts) != 1:
+            if cps.mass(h, _bits(mask)) != 1:
                 return False
         for gi, rows in self.rows.items():
             h = sp.groups[gi].infosets[0]
@@ -558,19 +715,47 @@ def _holds(val, op, rhs):
 
 
 def _merged(space, bundles):
-    """One bundle holding every obligation of the given ones.
+    """One bundle holding every allowed set and clause row of the given
+    ones, which carry no strategy.
 
-    A single system satisfies the merge iff it satisfies each bundle, so it
-    can serve every slot at once."""
+    A single system satisfies the merge iff it satisfies each bundle, so
+    with the first slot's strategy added it can serve every slot at once."""
     merged = _Bundle(space)
     for b in bundles:
-        for gi, ts in b.allowed.items():
-            merged.restrict(gi, ts)
+        for gi, mask in b.allowed.items():
+            merged.restrict(gi, mask)
         for gi, rws in b.rows.items():
             merged.rows.setdefault(gi, []).extend(rws)
-        for gi, diffs in b.rationality.items():
-            merged.rationality.setdefault(gi, []).extend(diffs)
     return merged
+
+
+def _points(bundle):
+    """(good, levels, first) of a bundle whose allowed masks are nonempty,
+    built once: good[gi] is the mask of group gi's allowed combos at which
+    mass 1 meets every clause row; levels is the point order, combos allowed
+    by more groups first and ascending index within a level, as disjoint
+    masks; first[gi] is group gi's first combo in that order."""
+    if bundle.points is None:
+        space = bundle.space
+        score = [0] * len(space.combos)
+        for mask in bundle.allowed.values():
+            for t in _bits(mask):
+                score[t] += 1
+        by_score = {}
+        for t, k in enumerate(score):
+            by_score[k] = by_score.get(k, 0) | (1 << t)
+        levels = [by_score[k] for k in sorted(by_score, reverse=True)]
+        good = []
+        for g in space.groups:
+            mask = bundle.allowed.get(g.index, g.mask)
+            for coefs, op, rhs in bundle.rows.get(g.index, ()):
+                for t in _bits(mask):
+                    if not _holds(coefs.get(t, ZERO), op, rhs):
+                        mask &= ~(1 << t)
+            good.append(mask)
+        first = [_first_in(g.mask, levels) for g in space.groups]
+        bundle.points = (good, levels, first)
+    return bundle.points
 
 
 def _point_witness(space, bundle):
@@ -579,96 +764,122 @@ def _point_witness(space, bundle):
     Orderings are tried most promising first: combos allowed by more groups
     lead. The ordering led by t0 puts each group's mass on t0 when t0 is in
     its event, else on the group's first combo in the base ordering; so it
-    passes iff each of those points is good for its group."""
-    n = len(space.combos)
-    score = [0] * n
-    for ts in bundle.allowed.values():
-        for t in ts:
-            score[t] += 1
-    base = sorted(range(n), key=lambda t: (-score[t], t))
-    checks = []
+    passes iff each of those points is good for its group. One AND over the
+    groups gives every passing t0; the witness is the first of them."""
+    _good, levels, first = _points(bundle)
+    passing = space.full
+    for g, good in zip(space.groups, _good_points(bundle)):
+        if good >> first[g.index] & 1:
+            passing &= good | (space.full ^ g.mask)
+        else:
+            passing &= good
+        if not passing:
+            return None
+    t0 = _first_in(passing, levels)
+    table = {}
     for g in space.groups:
-        first = next(t for t in base if t in g.event)
-        good = _good_points(bundle, g)
-        checks.append((g, first, good, first in good))
-    for t0 in base:
-        if all(t0 in good if t0 in g.event else first_ok
-               for g, _first, good, first_ok in checks):
-            table = {}
-            for g, first, _good, _ok in checks:
-                point = {t0 if t0 in g.event else first: ONE}
-                for h in g.infosets:
-                    table[h] = point
-            return ConditionalBeliefs(space, table)
-    return None
+        point = {t0 if g.mask >> t0 & 1 else first[g.index]: ONE}
+        for h in g.infosets:
+            table[h] = point
+    return ConditionalBeliefs(space, table)
 
 
-def _good_points(bundle, g):
-    """The combos t of group g's event at which mass 1 on t meets every
-    obligation of the bundle on g: the allowed set, the clause rows and
-    the rationality rows."""
-    allowed = bundle.allowed.get(g.index)
-    good = set(g.event if allowed is None else g.event & allowed)
-    for diff in bundle.rationality.get(g.index, ()):
-        good.difference_update([t for t, d in diff.items() if d < 0])
-    for coefs, op, rhs in bundle.rows.get(g.index, ()):
-        good = {t for t in good if _holds(coefs.get(t, ZERO), op, rhs)}
-    return good
+def _good_points(bundle):
+    """Per group, in the space's order, the mask of the combos t of its
+    event at which mass 1 on t meets every obligation of the bundle on the
+    group: the allowed set, the clause rows and the rationality rows."""
+    neg = bundle.signs[1]
+    return [m & ~neg.get(gi, 0) for gi, m in enumerate(_points(bundle)[0])]
 
 
 def _dominated(space, bundle):
     """True when some rationality row of the bundle is strictly negative at
     every combo its group may believe: the allowed set, else the whole
-    event. Exact comparisons only; no LP."""
-    for gi, diffs in bundle.rationality.items():
-        ts = bundle.allowed.get(gi)
-        if ts is None:
-            ts = space.groups[gi].event
-        for diff in diffs:
-            if all(diff.get(t, 0) < 0 for t in ts):
-                return True
+    event. Mask algebra only; no LP."""
+    allowed = bundle.allowed
+    groups = space.groups
+    for gi, neg in bundle.signs[0]:
+        if not allowed.get(gi, groups[gi].mask) & ~neg:
+            return True
     return False
 
 
-def _admissible(game, player, bundles, shared=frozenset()):
-    """The query pipeline behind every public query: one system per bundle
-    (slot), equal on the shared groups, or None when none exists.
+class _Query:
+    """The part of a query that no strategy changes: one bundle per slot
+    without rationality, the shared groups, and, when every merged allowed
+    set is nonempty, the merged bundle with its point data. Built once per
+    obligation set and restrictions (`_prepared`)."""
 
-    Agreement events that are not upward-closed are refused first. Then, in
-    order: an empty allowed set refutes at once; pure conditional dominance
-    on one group refutes without an LP (sound because mandates and support
-    clauses are folded into the allowed sets, so every admissible
-    conditional of the group lives where the alternative is strictly
-    better); a lexicographic point system satisfying every bundle serves all
-    slots; last, the exact pattern LPs, whose answer is verified. Only
-    refutations take the dominance exit, so witnesses do not depend on it.
+    __slots__ = ("space", "bundles", "shared", "empty", "merged")
+
+    def __init__(self, space, bundles, shared=frozenset()):
+        for gi in shared:
+            p = space.parent[gi]
+            if p is not None and p not in shared:
+                raise UnsupportedBeliefStructure(
+                    "agreement events are not upward-closed in the inclusion forest"
+                )
+        self.space = space
+        self.bundles = bundles
+        self.shared = shared
+        self.empty = not all(all(b.allowed.values()) for b in bundles)
+        self.merged = None
+        if not self.empty:
+            merged = bundles[0] if len(bundles) == 1 else _merged(space, bundles)
+            if all(merged.allowed.values()):
+                _points(merged)
+                self.merged = merged
+
+
+def _prepared(space, key, build):
+    """The cached _Query for a key, built by build() on first use."""
+    query = space._queries.get(key)
+    if query is None:
+        query = space._queries[key] = build()
+    return query
+
+
+def _admissible(query, strategy_index=None):
+    """The query pipeline behind every public query: one system per bundle
+    (slot), equal on the shared groups, or None when none exists. The
+    strategy, if any, must be sequentially optimal in the first slot.
+
+    In order: an empty allowed set refutes at once; pure conditional
+    dominance on one group refutes without an LP (sound because mandates
+    and support clauses are folded into the allowed sets, so every
+    admissible conditional of the group lives where the alternative is
+    strictly better); a lexicographic point system satisfying every bundle
+    serves all slots; last, the exact pattern LPs, whose answer is verified.
+    Only refutations take the dominance exit, so witnesses do not depend on
+    it.
     """
-    space = space_for(game, player)
-    for gi in shared:
-        p = space.parent[gi]
-        if p is not None and p not in shared:
-            raise UnsupportedBeliefStructure(
-                "agreement events are not upward-closed in the inclusion forest"
-            )
-    for b in bundles:
-        if not all(b.allowed.values()):
-            return None
+    space = query.space
+    if query.empty:
+        COUNTS["empty"] += 1
+        return None
+    bundles = list(query.bundles)
+    merged = query.merged
+    if strategy_index is not None:
+        bundles[0] = bundles[0].for_strategy(strategy_index)
+        if merged is query.bundles[0]:
+            merged = bundles[0]
+        elif merged is not None:
+            merged = merged.for_strategy(strategy_index)
     for b in bundles:
         if _dominated(space, b):
             COUNTS["dominated"] += 1
             return None
-    merged = _merged(space, bundles)
-    if all(merged.allowed.values()):
+    if merged is not None:
         cps = _point_witness(space, merged)
         if cps is not None:
             COUNTS["point"] += 1
             return [cps] * len(bundles)
-    found = _solve_patterns(space, bundles, shared)
+    found = _solve_patterns(space, bundles, query.shared)
     if found is None:
         COUNTS["patterns_refuted"] += 1
     else:
         COUNTS["patterns_kept"] += 1
-        _verify(game, player, bundles, shared, found)
+        _verify(space, bundles, query.shared, found)
     return found
 
 
@@ -745,9 +956,9 @@ def _solve_one(space, bundles, block_of, fresh, zero_rows, eps_rows):
         for t in ev:
             zeroed.add((key, t))
     for s, b in enumerate(bundles):
-        for gi, ts in b.allowed.items():
+        for gi, mask in b.allowed.items():
             key = block_of[(s, gi)]
-            for t in groups[gi].event - ts:
+            for t in _bits(groups[gi].mask & ~mask):
                 zeroed.add((key, t))
 
     cols = {}
@@ -839,8 +1050,8 @@ def _solve_one(space, bundles, block_of, fresh, zero_rows, eps_rows):
     return out
 
 
-def _verify(game, player, bundles, shared, systems):
-    sp = space_for(game, player)
+def _verify(sp, bundles, shared, systems):
+    game, player = sp.game, sp.player
     for b, cps in zip(bundles, systems):
         bad = explain_invalid_cps(game, player, cps)
         if bad is not None:
@@ -867,14 +1078,20 @@ def exists_admissible_cps(game, player, strategy, mandates=(), restrictions=None
     Raises EmptyPolytope when some infoset's clauses alone are unsatisfiable;
     that is a property of the restrictions, not of the strategy.
     """
+    sp = space_for(game, player)
     clauses = _clause_map(game, player, restrictions)
-    bundle = _Bundle(space_for(game, player))
-    bundle.add_mandates(mandates)
-    bundle.add_clauses(clauses)
-    bundle.add_rationality(strategy.index)
-    found = _admissible(game, player, [bundle])
+    ckey = _clause_key(clauses)
+
+    def build():
+        bundle = _Bundle(sp)
+        bundle.add_mandates(mandates)
+        bundle.add_clauses(clauses)
+        return _Query(sp, [bundle])
+
+    query = _prepared(sp, (frozenset(it.key() for it in mandates), ckey), build)
+    found = _admissible(query, strategy.index)
     if found is None:
-        _raise_if_empty(game, player, clauses)
+        _raise_if_empty(sp, clauses, ckey)
         return None
     return found[0]
 
@@ -887,21 +1104,25 @@ def _clause_map(game, player, restrictions):
     return restrictions
 
 
-def _raise_if_empty(game, player, clauses):
+def _clause_key(clauses):
+    """Identifies a clause map: its nonempty infosets and clause objects."""
+    return tuple((h, tuple(cls)) for h, cls in clauses.items() if cls)
+
+
+def _raise_if_empty(sp, clauses, key):
     """Raise EmptyPolytope for the first infoset whose clauses admit no
     distribution. Checked only after a query fails: any witness satisfies
     every clause, so an empty polytope cannot coexist with one. The answer
     depends only on the player and the clauses, so it is memoized on the
     belief space per clause map."""
-    key = tuple((h, tuple(cls)) for h, cls in clauses.items() if cls)
     if not key:
         return
-    memo = space_for(game, player)._empty
+    memo = sp._empty
     if key not in memo:
-        empty = empty_restriction_infosets(game, player, clauses)
+        empty = empty_restriction_infosets(sp.game, sp.player, clauses)
         memo[key] = empty[0] if empty else None
     if memo[key] is not None:
-        raise EmptyPolytope(player, memo[key])
+        raise EmptyPolytope(sp.player, memo[key])
 
 
 def coupled_admissible_pair(
@@ -918,19 +1139,27 @@ def coupled_admissible_pair(
     polytopes and its own mandates. Returns (mu, bar) or None."""
     sp = space_for(game, player)
     clauses = _clause_map(game, player, bar_restrictions)
-
-    mu = _Bundle(sp)
-    mu.add_mandates(mu_mandates)
-    mu.add_rationality(strategy.index)
-
-    bar = _Bundle(sp)
-    bar.add_mandates(bar_mandates)
-    bar.add_clauses(clauses)
-
+    ckey = _clause_key(clauses)
     shared = frozenset(sp.group_of[h] for h in agreement_infosets)
-    found = _admissible(game, player, [mu, bar], shared)
+
+    def build():
+        mu = _Bundle(sp)
+        mu.add_mandates(mu_mandates)
+        bar = _Bundle(sp)
+        bar.add_mandates(bar_mandates)
+        bar.add_clauses(clauses)
+        return _Query(sp, [mu, bar], shared)
+
+    key = (
+        "coupled",
+        frozenset(it.key() for it in mu_mandates),
+        frozenset(it.key() for it in bar_mandates),
+        ckey,
+        shared,
+    )
+    found = _admissible(_prepared(sp, key, build), strategy.index)
     if found is None:
-        _raise_if_empty(game, player, clauses)
+        _raise_if_empty(sp, clauses, ckey)
         return None
     return found[0], found[1]
 
@@ -957,4 +1186,4 @@ def cps_in_agreement_closure(
         pinned.add(gi)
         for t in sp.groups[gi].csorted:
             bar.add_row(gi, {t: ONE}, lp.EQ, Fraction(cps.prob(h, t)))
-    return _admissible(game, player, [bar]) is not None
+    return _admissible(_Query(sp, [bar])) is not None

@@ -320,17 +320,21 @@ class GameTree:
         return d["reach_cache"][key]
 
     def joint_reaching(self, player, infoset_name):
-        """Opponent profiles (tuples in player order, `player` omitted) that
-        allow some node of the infoset to be reached."""
+        """Opponent profiles that allow some node of the infoset to be
+        reached, as ascending flat indices into the product of the other
+        players' strategy lists (in player order, rightmost fastest)."""
         d = self._ensure_derived()
         key = (player, infoset_name)
         if key not in d["joint_cache"]:
             opp = [k for k, p in enumerate(self.players) if p != player]
-            hit = np.zeros([len(d["strategies"][self.players[k]]) for k in opp], dtype=bool)
+            parts = []
             for nn in self.infosets[infoset_name].nodes:
-                hit[np.ix_(*(d["consistent"][nn][k] for k in opp))] = True
-            combos = product(*(d["strategies"][self.players[k]] for k in opp))
-            d["joint_cache"][key] = [c for c, ok in zip(combos, hit.flat) if ok]
+                flat = [0]
+                for k in opp:
+                    size = len(d["strategies"][self.players[k]])
+                    flat = [f * size + i for f in flat for i in d["consistent"][nn][k]]
+                parts.append(flat)
+            d["joint_cache"][key] = parts[0] if len(parts) == 1 else sorted(set().union(*parts))
         return d["joint_cache"][key]
 
     def immediate_predecessor(self, infoset_name):
@@ -364,14 +368,30 @@ class PayoffTable:
             for col, L in zip(columns, self.denominators)
         ]
 
+    def _own_major(self, k):
+        """Leaf positions per (own strategy of player k, opponent combo),
+        the combos in canonical order (the other players in player order,
+        rightmost fastest)."""
+        return np.moveaxis(self.leaf_of, k, 0).reshape(self.leaf_of.shape[k], -1)
+
     def rows(self, player):
         """The player's numerators as one list per own strategy, over the
-        opponent combos in canonical order (the other players in player
-        order, rightmost fastest)."""
+        opponent combos in canonical order."""
         k = self.players.index(player)
         nums = self.numerators[k]
-        idx = np.moveaxis(self.leaf_of, k, 0).reshape(self.leaf_of.shape[k], -1)
-        return [[nums[n] for n in row] for row in idx.tolist()]
+        return [[nums[n] for n in row] for row in self._own_major(k).tolist()]
+
+    def ranks(self, player):
+        """The player's payoffs as dense ranks, an array shaped like
+        rows(player): equal payoffs share a rank and a larger payoff has a
+        larger rank. The exact comparisons are those of one sort of the
+        distinct Python-int numerators; the ranks are below the number of
+        leaves, so no fixed-width wrap can reach them."""
+        k = self.players.index(player)
+        nums = self.numerators[k]
+        rank_of = {v: r for r, v in enumerate(sorted(set(nums)))}
+        ranks = np.array([rank_of[v] for v in nums], dtype=np.intp)
+        return ranks[self._own_major(k)]
 
 
 def compatible_infosets(game, player, restriction):

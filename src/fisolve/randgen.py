@@ -12,6 +12,7 @@ perfect information continuations. Strategy counts are capped per player.
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from . import dsl
 from .dsl import Event, LinearClause, RestrictionProfile
@@ -194,8 +195,9 @@ def random_point_restrictions(seed, game, base):
             continue
         picks = rng.sample(alive, min(len(alive), rng.randint(1, 2)))
         opponents = [p for p in game.players if p != player]
+        everyone = list(product(*(game.strategies(j) for j in opponents)))
         for infoset in picks:
-            combos = game.joint_reaching(player, infoset)
+            combos = [everyone[t] for t in game.joint_reaching(player, infoset)]
             good = [
                 c
                 for c in combos

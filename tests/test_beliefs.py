@@ -268,14 +268,22 @@ def test_dominated_query_solves_no_lp(bribe, monkeypatch):
 
 
 def test_decision_path_counts(bribe):
-    """Each query that passes the allowed-set check is counted once, by the
-    step that settled it."""
+    """Each query is counted once, by the step that settled it."""
     b_i = strat(bribe, "Ann", "B.I")
 
     def capped(cap):
         return dsl.parse_restrictions(
             "player Ann\n  at ann_root: P[Bob = A] <= %s\n" % cap, bribe
         )
+
+    # Strong belief in Bob = A where a clause puts no mass on A: the allowed
+    # sets at the root are disjoint, although the clause alone is satisfiable.
+    bob_a = strat(bribe, "Bob", "A")
+    sb_a = beliefs.strong_belief_mandate(bribe, "Ann", "sb A", "Bob", [bob_a])
+    no_a = dsl.parse_restrictions("player Ann\n  at ann_root: P[Bob = A] = 0\n", bribe)
+    beliefs.reset_counts()
+    assert beliefs.exists_admissible_cps(bribe, "Ann", b_i, [sb_a], no_a) is None
+    assert beliefs.COUNTS == dict(dict.fromkeys(beliefs.COUNTS, 0), empty=1)
 
     cases = [
         (strat(bribe, "Ann", "B.P"), None, "dominated"),

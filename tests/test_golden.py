@@ -1,0 +1,84 @@
+"""Golden outputs: witnesses, eliminations and their order, pinned.
+
+The other tests check properties of a solve (valid witnesses, invariants
+between procedures, oracle concordance); these pin its exact output, so a
+change to the engine that picks a different but equally valid witness, or
+words a reason differently, shows up here. The digests and the files under
+`golden/` were written by the engine before its belief kernel moved to
+bitmasks; regenerate them only for a deliberate change of output.
+"""
+
+import hashlib
+import pathlib
+
+import pytest
+
+from fisolve import cli, dsl, randgen, solvers
+
+from conftest import GAMES
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+RATIONALIZABILITY_IDS = range(150)
+RATIONALIZABILITY_SHA256 = (
+    "b71bcbb2ab772000445ec6e53dfc8eadb1d37011148f95511963555eed006f18"
+)
+RESTRICTED_IDS = range(100)
+RESTRICTED_SHA256 = (
+    "ec26d0b226f22ddd297201c22c5345ed13f85297c2886386d5c3b00b25282d7a"
+)
+
+
+def _sha256(texts):
+    h = hashlib.sha256()
+    for text in texts:
+        h.update(text.encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def rationalizability_texts():
+    for i in RATIONALIZABILITY_IDS:
+        yield dsl.serialize_solution(solvers.rationalizability(randgen.random_game(i)))
+
+
+def restricted_texts():
+    """Selective and strong-delta under random point restrictions."""
+    for i in RESTRICTED_IDS:
+        game = randgen.random_game(i, max_strategies=8)
+        base = solvers.rationalizability(game)
+        delta = randgen.random_point_restrictions(i + 1, game, base)
+        if delta is None:
+            continue
+        yield dsl.serialize_solution(
+            solvers.selective_rationalizability(game, delta, base=base)
+        )
+        yield dsl.serialize_solution(solvers.strong_delta_rationalizability(game, delta))
+
+
+def test_rationalizability_outputs_are_pinned():
+    assert _sha256(rationalizability_texts()) == RATIONALIZABILITY_SHA256
+
+
+def test_restricted_outputs_are_pinned():
+    assert _sha256(restricted_texts()) == RESTRICTED_SHA256
+
+
+def golden_runs():
+    """(name, argv) per line of golden/runs.txt, which CI also reads."""
+    runs = []
+    for line in (GOLDEN / "runs.txt").read_text().splitlines():
+        if not line.strip() or line.startswith("#"):
+            continue
+        name, game, procedure, restrictions = line.split()
+        argv = ["--game", str(GAMES / game), "--procedure", procedure]
+        if restrictions != "-":
+            argv += ["--restrictions", str(GAMES / restrictions)]
+        runs.append((name, argv + ["--format", "structured"]))
+    return runs
+
+
+@pytest.mark.parametrize("name, argv", golden_runs(), ids=[n for n, _ in golden_runs()])
+def test_fixture_structured_output_is_pinned(capsys, name, argv):
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / (name + ".json")).read_text()

@@ -154,39 +154,47 @@ def test_solver_runs_are_deterministic(seed):
     assert one == two
 
 
-@given(seed=st.integers(0, 10**6))
-@settings(max_examples=60, deadline=None)
-def test_dominance_exit_never_changes_an_answer(seed):
+def test_dominance_exit_never_changes_an_answer():
     """Pure conditional dominance refutes only what the pattern search
     refutes: solves with the check switched off serialize identically, and
-    no bundle it refutes has a pattern solution."""
-    game = randgen.random_game(seed, max_strategies=6)
+    no bundle it refutes has a pattern solution. Every dominance exit goes
+    through `beliefs._dominated`, so the patched check must have been asked,
+    and must have refuted, somewhere in the run."""
     dominated = beliefs._dominated
-    pattern_answers = []
+    verdicts = []
 
     def checked(space, bundle):
         hit = dominated(space, bundle)
+        verdicts.append(hit)
         if hit:
-            pattern_answers.append(
-                beliefs._solve_patterns(space, [bundle], frozenset())
-            )
+            assert beliefs._solve_patterns(space, [bundle], frozenset()) is None
         return hit
 
-    def solve_all():
-        base = solvers.rationalizability(game)
-        traces = [base]
-        delta = randgen.random_point_restrictions(seed + 1, game, base)
-        if delta is not None:
-            traces.append(solvers.selective_rationalizability(game, delta, base=base))
-            traces.append(solvers.strong_delta_rationalizability(game, delta))
-        return [dsl.serialize_solution(t) for t in traces]
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def check(seed):
+        game = randgen.random_game(seed, max_strategies=6)
 
-    with mock.patch.object(beliefs, "_dominated", checked):
-        with_check = solve_all()
-    with mock.patch.object(beliefs, "_dominated", lambda space, bundle: False):
-        without_check = solve_all()
-    assert with_check == without_check
-    assert pattern_answers == [None] * len(pattern_answers)
+        def solve_all():
+            base = solvers.rationalizability(game)
+            traces = [base]
+            delta = randgen.random_point_restrictions(seed + 1, game, base)
+            if delta is not None:
+                traces.append(solvers.selective_rationalizability(game, delta, base=base))
+                traces.append(solvers.strong_delta_rationalizability(game, delta))
+            return [dsl.serialize_solution(t) for t in traces]
+
+        beliefs.reset_counts()
+        start = len(verdicts)
+        with mock.patch.object(beliefs, "_dominated", checked):
+            with_check = solve_all()
+        assert verdicts[start:].count(True) == beliefs.COUNTS["dominated"]
+        with mock.patch.object(beliefs, "_dominated", lambda space, bundle: False):
+            without_check = solve_all()
+        assert with_check == without_check
+
+    check()
+    assert True in verdicts
 
 
 def _affine(game, seed):
