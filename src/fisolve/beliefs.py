@@ -978,21 +978,29 @@ def _solve_one(space, bundles, block_of, fresh, zero_rows, eps_rows):
     def term(key, t):
         return cols.get((key, t))
 
+    # Each distinct row goes to the simplex once, at its first place: a row
+    # repeats for every alternative of one plan and for every infoset of a
+    # group. A row the zeroed columns leave empty that holds is dropped.
     rows = []
+    seen = set()
+
+    def emit(r, op, rhs):
+        if not r and _holds(ZERO, op, rhs):
+            return
+        mark = (tuple(sorted(r.items())), op, rhs)
+        if mark not in seen:
+            seen.add(mark)
+            rows.append((r, op, rhs))
+
     for key in fresh:
         r = {}
         for t in groups[block_group[key]].csorted:
             c = term(key, t)
             if c is not None:
                 r[c] = ONE
-        rows.append((r, lp.EQ, ONE))
+        emit(r, lp.EQ, ONE)
 
-    seen_eps = set()
     for key, ev in eps_rows:
-        mark = (key, tuple(sorted(ev)))
-        if mark in seen_eps:
-            continue
-        seen_eps.add(mark)
         r = {}
         for t in ev:
             c = term(key, t)
@@ -1001,8 +1009,8 @@ def _solve_one(space, bundles, block_of, fresh, zero_rows, eps_rows):
         if not r:
             return None  # positive mass demanded on a fully zeroed event
         r[eps] = -ONE
-        rows.append((r, lp.GE, ZERO))
-    rows.append(({eps: ONE}, lp.LE, ONE))
+        emit(r, lp.GE, ZERO)
+    emit({eps: ONE}, lp.LE, ONE)
 
     for s, b in enumerate(bundles):
         for gi, rws in b.rows.items():
@@ -1017,7 +1025,7 @@ def _solve_one(space, bundles, block_of, fresh, zero_rows, eps_rows):
                     col = term(key, t)
                     if col is not None:
                         r[col] = c
-                rows.append((r, op, ZERO))
+                emit(r, op, ZERO)
         for gi, diffs in b.rationality.items():
             key = block_of[(s, gi)]
             for diff in diffs:
@@ -1026,7 +1034,7 @@ def _solve_one(space, bundles, block_of, fresh, zero_rows, eps_rows):
                     col = term(key, t)
                     if col is not None:
                         r[col] = d
-                rows.append((r, lp.GE, ZERO))
+                emit(r, lp.GE, ZERO)
 
     x = lp.positive_max(ncols, {eps: ONE}, rows)
     if x is None:

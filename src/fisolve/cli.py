@@ -100,10 +100,6 @@ def _read(path):
         return fh.read()
 
 
-def _frac(x):
-    return dsl._fmt_rational(x)
-
-
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -212,7 +208,7 @@ def _render_trace(trace):
         out.append("outcomes:")
         for leaf in trace.outcomes:
             pay = ", ".join(
-                "%s=%s" % (p, _frac(v))
+                "%s=%s" % (p, dsl._fmt_rational(v))
                 for p, v in zip(game.players, leaf.payoffs)
             )
             out.append("  %s (%s)" % (leaf.name, pay))
@@ -225,10 +221,10 @@ def _run_procedure(args, game, delta):
     if args.oracle_check is not None:
         report = _oracle_replay(trace, args.oracle_check)
     if args.format == "structured":
-        doc = json.loads(dsl.serialize_solution(trace))
+        doc = dsl._solution_doc(trace)
         if report is not None:
             doc["oracle_check"] = report
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        print(dsl.to_json(doc))
         return 0
     print(_render_trace(trace))
     if report is not None:

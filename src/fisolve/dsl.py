@@ -22,9 +22,9 @@ and `=` are the `lp` module's own, so a clause becomes a linear row
 (`beliefs.clause_row`) without translation.
 """
 
-import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import beliefs
 from .model import DecisionNode, GameTree, InfoSet, Leaf
@@ -260,7 +260,6 @@ def _check_new_action(frame, label, lineno):
 
 
 def _fmt_rational(x):
-    x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)
 
 
@@ -309,6 +308,11 @@ def serialize_solution(trace):
     instead. A nested base run, when present, is summarized by its rounds
     and fixed point alone.
     """
+    return to_json(_solution_doc(trace))
+
+
+def _solution_doc(trace):
+    """The "fisolve.trace/1" document of a trace, as plain dicts and lists."""
     game = trace.game
 
     def round_sets(rounds):
@@ -362,7 +366,61 @@ def serialize_solution(trace):
             "rounds": round_sets(trace.base.rounds),
             "fixed_point_round": trace.base.fixed_point_round,
         }
-    return json.dumps(doc, sort_keys=True, indent=2)
+    return doc
+
+
+def to_json(doc):
+    """The text of `json.dumps(doc, sort_keys=True, indent=2)` for a document
+    of dicts with str keys, lists, str, int, bool and None; TypeError on any
+    other type or key. json's indented encoder is a pure-Python generator;
+    this one pass over a list of parts escapes strings with json's C
+    escaper."""
+    out = []
+    _emit(doc, out, "\n")
+    return "".join(out)
+
+
+def _emit(value, out, newline):
+    """Append the parts of one value; `newline` is a line break followed by
+    the indentation of the value's own line."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError("JSON keys must be str, not %s" % type(key).__name__)
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _emit(value[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _emit(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError("cannot encode %s as JSON" % type(value).__name__)
 
 
 # -- restrictions ---------------------------------------------------------------

@@ -11,7 +11,9 @@ hold. A pivot on the positive entry p combines rows as p*row - f*pivot_row
 and divides the result by its gcd; the ratio test cross-multiplies. Positive
 scaling keeps every sign and every ratio, so the pivot sequence, and with it
 each solution, is the one the rational tableau would take. A basic variable
-is read off as rhs_i / row_i[basis_i].
+is read off as rhs_i / row_i[basis_i]. Each constraint enters as its
+coprime integer form (a | b) with unit slack and artificial entries added,
+so a constraint scaled by any positive rational gives the same tableau.
 
 Variables are implicitly nonnegative (every caller's unknowns are probability
 masses or slack-like quantities). Constraints may be <=, >= or =, spelled as
@@ -108,6 +110,10 @@ def solve(num_vars, objective, rows):
     tab = []
     basis = []
     for i, (a, op, b) in enumerate(norm):
+        # The constraint is made coprime before its unit slack and artificial
+        # entries join it, so a positively scaled constraint gives the same
+        # row, and phase 1 weighs every artificial alike.
+        *a, b = _coprime(a + [b])
         row = a + [0] * (ncols - num_vars)
         if op == LE:
             row[slack_of[i]] = 1
@@ -120,7 +126,7 @@ def solve(num_vars, objective, rows):
             row[art_of[i]] = 1
             basis.append(art_of[i])
         row.append(b)
-        tab.append(_coprime(row))
+        tab.append(row)
 
     art_cols = set(a for a in art_of if a is not None)
 

@@ -393,6 +393,14 @@ class PayoffTable:
         ranks = np.array([rank_of[v] for v in nums], dtype=np.intp)
         return ranks[self._own_major(k)]
 
+    def plans(self, player):
+        """The player's plans (reduced strategies): plans[s] is the lowest
+        index of a strategy realization equivalent to strategy s, one whose
+        leaf against every opponent combo is the one s reaches."""
+        first = {}
+        rows = self._own_major(self.players.index(player))
+        return tuple(first.setdefault(row.tobytes(), s) for s, row in enumerate(rows))
+
 
 def compatible_infosets(game, player, restriction):
     """Infosets of the player at which the restricted product set is alive.

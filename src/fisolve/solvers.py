@@ -10,6 +10,16 @@ gate and the restrictions. All players update simultaneously; the fixed
 point is certified by one confirmation round and always arrives within
 1 + total strategy count rounds.
 
+Decisions are made per plan. Two strategies of a player are realization
+equivalent when they reach the same leaf against every opponent profile
+(`PayoffTable.plans`); such a class is a plan, represented by its lowest
+index. Members of a plan have equal payoff rows and reach the same
+infosets, so they face the same optimality conditions: every query, in the
+rounds and in the re-queries that name a reason, is asked once per plan,
+for its representative, and every member shares its answer, witness and
+reason. The pattern LPs behind a query see each distinct row once (see
+`beliefs._solve_one`), so a member asked alone gets the same witness.
+
 The three named procedures instantiate the kernel: rationalizability (full
 start, no restrictions, no gate), strong delta rationalizability (full
 start, restrictions on), and selective rationalizability (start at the
@@ -166,6 +176,7 @@ def generalized_solve(spec):
         player: _gate_mandates(game, player, spec.gate_rounds, spec.correlated)
         for player in game.players
     }
+    plans = {player: game.payoff_table().plans(player) for player in game.players}
     memo = {}
     limit = 1 + sum(len(game.strategies(p)) for p in game.players)
     for n in range(1, limit + 1):
@@ -178,9 +189,11 @@ def generalized_solve(spec):
             mandates.extend(gate[player])
             trace.mandates[n][player] = mandates
             keep = []
+            strategies = game.strategies(player)
             for s in prev.strategies(player):
+                rep = strategies[plans[player][s.index]]
                 try:
-                    witness = _query(memo, game, player, s, mandates, restrictions)
+                    witness = _query(memo, game, player, rep, mandates, restrictions)
                 except beliefs.EmptyPolytope as exc:
                     # The player's first failed query; no witness can exist.
                     trace.notes.append(
@@ -195,7 +208,7 @@ def generalized_solve(spec):
                 if witness is None:
                     if spec.explain:
                         elim[(player, s.name)] = _explain(
-                            memo, game, player, s, mandates, restrictions
+                            memo, game, player, rep, mandates, restrictions
                         )
                     else:
                         elim[(player, s.name)] = "no admissible belief system"
@@ -218,9 +231,10 @@ def generalized_solve(spec):
 def _query(memo, game, player, strategy, mandates, restrictions):
     """One admissibility decision, asked at most once per solve.
 
-    The answer depends on the mandates only through their set of keys, and
-    within one solve the restrictions are either the spec's or None (asked
-    by _explain), so those make the memo key.
+    The caller passes a plan's representative, so the strategy index names
+    the plan. The answer depends on the mandates only through their set of
+    keys, and within one solve the restrictions are either the spec's or
+    None (asked by _explain), so those make the memo key.
     """
     key = (
         player,

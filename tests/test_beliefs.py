@@ -315,6 +315,28 @@ def test_bribe_threshold_is_exact(bribe):
         assert (cps is not None) == kept
 
 
+def test_pattern_lps_get_each_row_once(bribe, monkeypatch):
+    """`_solve_one` hands the simplex every distinct row once and no row
+    without coefficients that holds outright (0 >= 0, 0 <= 0, 0 = 0), and the
+    bribe threshold keeps its exact answers. Row by row, B.I's programs
+    here repeat rows, and some rows lose every coefficient to the columns a
+    pattern zeroes."""
+    handed = []
+    positive_max = lp.positive_max
+
+    def recording(num_vars, objective, rows):
+        handed.append(rows)
+        return positive_max(num_vars, objective, rows)
+
+    monkeypatch.setattr(lp, "positive_max", recording)
+    test_bribe_threshold_is_exact(bribe)
+    assert handed
+    for rows in handed:
+        marks = [(tuple(sorted(r.items())), op, rhs) for r, op, rhs in rows]
+        assert len(set(marks)) == len(marks)
+        assert all(r for r, _, _ in rows)
+
+
 def test_contradictory_clauses_raise_empty_polytope(bribe):
     text = (
         "player Ann\n"

@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fisolve import beliefs, dsl, randgen, solvers
 
@@ -203,3 +204,27 @@ def test_serialize_solution_empty_run(bribe, bribe_delta):
     assert doc["base"]["procedure"] == "rationalizability"
     assert doc["base"]["fixed_point_round"] == 3
     assert "Ann" not in doc["witnesses"]
+
+
+json_docs = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_docs)
+@example({"\u00e9t\u00e9 \"q\"\n": ["\u2603\t\\", {}, [], None, True, False, -7, 2**70],
+          "": {"\x00\x1f\u2028": [[{}], "\ud83c\udf0d"]}})
+def test_to_json_matches_json_dumps(doc):
+    """The trace emitter writes the bytes of json.dumps(sort_keys, indent=2)."""
+    assert dsl.to_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "doc", [1.5, Fraction(1, 2), ("a",), {1: "a"}, {"a": [1, {"b": 0.0}]}, {("k",): 1}]
+)
+def test_to_json_refuses_other_types(doc):
+    with pytest.raises(TypeError):
+        dsl.to_json(doc)

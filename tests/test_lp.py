@@ -200,6 +200,18 @@ def test_positive_row_scaling_leaves_the_solution_unchanged(prog, data):
     assert got.x == res.x
 
 
+def test_row_scaling_keeps_the_phase_one_weights():
+    """A falsifying example of the property above, kept as its own case:
+    scaling a >= row by 1/25 once also scaled its artificial column, which
+    reweighted the phase-1 objective and moved the feasible point found."""
+    rows = [([0, 2, 0, 1], lp.GE, 1), ([-3, -4, 4, 0], lp.EQ, 0), ([3, 2, 4, 2], lp.GE, 0)]
+    scales = [Fraction(1, 50), Fraction(1, 50), Fraction(1, 25)]
+    scaled = [([k * a for a in coefs], op, k * rhs) for (coefs, op, rhs), k in zip(rows, scales)]
+    res = lp.solve(4, [0] * 4, rows)
+    assert res.x == [0, 0, 0, 1]
+    assert lp.solve(4, [0] * 4, scaled).x == res.x
+
+
 def test_positive_maximum_takes_the_exact_path():
     # max eps s.t. x0 + x1 == 1, x0 - eps >= 0, x1 - eps >= 0, eps <= 1
     rows = [

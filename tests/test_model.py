@@ -201,3 +201,35 @@ def test_dangling_child():
     game = GameTree("bad", ("A",), "r", nodes, {}, infosets, ["r"])
     with pytest.raises(DanglingNode):
         game.validate()
+
+
+def test_plans_group_realization_equivalent_strategies(bribe, cleo):
+    """A plan is a class of strategies that reach the same leaf against every
+    opponent profile, named by its lowest index. Checked against the tree
+    walk `GameTree.outcome`, and on the fixtures by name."""
+    plan_names = {}
+    for game, player in ((bribe, "Ann"), (cleo, "Cleo")):
+        plans = game.payoff_table().plans(player)
+        ss = game.strategies(player)
+        plan_names[player] = sorted(
+            {tuple(s.name for s in ss if plans[s.index] == rep) for rep in plans}
+        )
+    assert ("N.P", "N.I") in plan_names["Ann"]
+    assert ("O.M1", "O.M2") in plan_names["Cleo"]
+    assert len(plan_names["Ann"]) == 3 and len(plan_names["Cleo"]) == 3
+
+    for game in [bribe, cleo] + [randgen.random_game(k, max_strategies=6) for k in range(1, 11)]:
+        for p in game.players:
+            plans = game.payoff_table().plans(p)
+            others = list(product(*(game.strategies(q) for q in game.players if q != p)))
+            ss = game.strategies(p)
+            reached = {
+                s.index: [
+                    game.outcome(dict({q.player: q for q in opp}, **{p: s})).name
+                    for opp in others
+                ]
+                for s in ss
+            }
+            for s in ss:
+                same = [t.index for t in ss if reached[t.index] == reached[s.index]]
+                assert plans[s.index] == min(same)

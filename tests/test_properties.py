@@ -263,3 +263,42 @@ def test_positive_affine_payoffs_change_no_decision(seed):
                 cps = trace.witnesses[(p, s.name)]
                 assert beliefs.is_valid_cps(mapped, p, cps)
                 assert beliefs.sequential_best_reply(mapped, p, s, cps)
+
+
+@given(seed=st.integers(0, 10**6))
+@SLOTS
+def test_plans_are_decided_together(seed):
+    """Realization-equivalent strategies (one plan) face the same optimality
+    conditions, so every round keeps or eliminates a plan whole, its members
+    share one reason or one witness, and a surviving member's own query
+    returns that same witness."""
+    game = randgen.random_game(seed, max_strategies=8)
+    base = solvers.rationalizability(game)
+    traces = [base]
+    delta = randgen.random_point_restrictions(seed + 1, game, base)
+    if delta is not None:
+        traces.append(solvers.strong_delta_rationalizability(game, delta))
+        traces.append(solvers.selective_rationalizability(game, delta, base=base))
+    for trace in traces:
+        last = len(trace.rounds) - 1
+        for p in game.players:
+            plans = game.payoff_table().plans(p)
+            for n in range(1, last + 1):
+                by_plan = {}
+                for s in trace.rounds[n - 1].strategies(p):
+                    by_plan.setdefault(plans[s.index], []).append(s)
+                kept = {s.index for s in trace.rounds[n].strategies(p)}
+                for members in by_plan.values():
+                    if not any(s.index in kept for s in members):
+                        reasons = {trace.eliminated[n][(p, s.name)] for s in members}
+                        assert len(reasons) == 1
+                        continue
+                    assert all(s.index in kept for s in members)
+                    tables = [trace.witnesses[(p, s.name)].table for s in members]
+                    assert all(t == tables[0] for t in tables)
+                    if n == last and len(members) > 1:
+                        for s, table in zip(members, tables):
+                            direct = beliefs.exists_admissible_cps(
+                                game, p, s, trace.mandates[n][p], trace.restrictions
+                            )
+                            assert direct.table == table

@@ -310,24 +310,33 @@ def test_trace_records_the_restrictions(bribe, bribe_delta):
     assert tr.restrictions is bribe_delta
 
 
-def test_no_query_is_asked_twice(bribe, monkeypatch):
+def test_no_query_is_asked_twice(bribe, bribe_delta, monkeypatch):
+    """Within one solve each (player, plan, obligations, restrictions on or
+    off) is asked once: realization-equivalent strategies share one query,
+    here Ann's N.P and N.I, and so do the re-queries behind the reasons."""
     asked = []
     query = beliefs.exists_admissible_cps
 
     def recording(game, player, strategy, mandates=(), restrictions=None):
         asked.append((
             player,
-            strategy.index,
+            game.payoff_table().plans(player)[strategy.index],
             frozenset(it.key() for it in mandates),
             restrictions is None,
         ))
         return query(game, player, strategy, mandates, restrictions)
 
     monkeypatch.setattr(beliefs, "exists_admissible_cps", recording)
-    tr = solvers.rationalizability(bribe, explain=True)
-    assert tr.eliminated
-    assert asked
-    assert len(asked) == len(set(asked))
+    for solve in (
+        lambda: solvers.rationalizability(bribe, explain=True),
+        lambda: solvers.strong_delta_rationalizability(bribe, bribe_delta, explain=True),
+    ):
+        asked.clear()
+        tr = solve()
+        assert tr.eliminated
+        assert asked
+        assert len(asked) == len(set(asked))
+        assert tr.witnesses.get(("Ann", "N.P")) is tr.witnesses.get(("Ann", "N.I"))
 
 
 def test_trace_records_the_queried_mandates(cleo, cleo_nw, cleo_base, monkeypatch):
