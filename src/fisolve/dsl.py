@@ -89,9 +89,10 @@ def _indent_of(raw, lineno):
 
 def _logical_lines(text):
     for i, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.strip().startswith("#"):
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
-        yield i, _indent_of(raw, i), raw.strip()
+        yield i, _indent_of(raw, i), line
 
 
 def parse_game(text):
@@ -107,6 +108,15 @@ def parse_game(text):
     # Stack of open node blocks: [node indent, name, action path,
     # action indent (None until the first action), actions, children].
     stack = []
+    # Payoff literal text -> its Fraction: leaves repeat a few values, and a
+    # dict hit is far cheaper than parsing the literal again.
+    literals = {}
+
+    def payoff(text, lineno):
+        value = literals.get(text)
+        if value is None:
+            value = literals[text] = _rational(text, lineno)
+        return value
 
     def finish(frame, lineno):
         _indent, nname, _path, _aindent, actions, children = frame
@@ -181,7 +191,7 @@ def parse_game(text):
                     raise ArityMismatch(
                         "%d payoffs for %d players" % (len(parts), len(players)), lineno
                     )
-                payoffs = tuple(_rational(p, lineno) for p in parts)
+                payoffs = tuple(payoff(p, lineno) for p in parts)
                 leaf_name = "/".join(frame[2] + (label,))
                 if leaf_name in leaves:
                     raise DslSyntaxError("duplicate leaf %r" % (leaf_name,), lineno)

@@ -22,7 +22,9 @@ calling the solver. The solver is MINPACK's Levenberg-Marquardt: support
 systems are often rank-deficient (an opponent's pure strategy can make a
 player's indifference rows constant), and there it takes the Gauss-Newton
 step, while trf scales every step to its trust radius and converges only
-linearly.
+linearly. scipy.optimize is imported on the first root find, not with this
+module: loading it takes most of `import fisolve`, and solver, oracle and
+CLI solve runs never need it.
 
 Scenario files (JSON) bundle named profiles, perturbation families, and a
 list of checks; weights may be strings like "1 - 1/sqrt(2)" which are
@@ -35,7 +37,6 @@ import json
 import math
 
 import numpy as np
-from scipy.optimize import least_squares
 
 # A support root is accepted when every residual is at most this.
 _RESIDUAL_TOL = 1e-10
@@ -497,6 +498,15 @@ def _support_system(nf, supports):
         return jac
 
     return residual, jacobian
+
+
+def least_squares(*args, **kwargs):
+    """`scipy.optimize.least_squares`, imported when first called (see the
+    module docstring). Callers and tests reach the root finder through this
+    module-level name."""
+    from scipy.optimize import least_squares as solve
+
+    return solve(*args, **kwargs)
 
 
 def _solve_support(nf, supports, target_vecs, tol):

@@ -4,12 +4,15 @@ main() returns the exit code; argparse-level usage errors raise SystemExit.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from fisolve import cli, oracle
 
-from conftest import GAMES, TANGLE
+from conftest import GAMES, ROOT, TANGLE
 
 
 BRIBE = str(GAMES / "bribe.game")
@@ -485,3 +488,53 @@ def test_oracle_disagreement_exits_five(capsys, monkeypatch):
     )
     assert code == 5
     assert "planted disagreement" in err
+
+
+# Whether scipy.optimize is loaded after each step of a fresh process.
+COLD_START = """
+import contextlib, io, json, sys
+
+def lab_loaded():
+    return "scipy.optimize" in sys.modules
+
+import fisolve
+
+steps = {"import fisolve": lab_loaded()}
+from fisolve import cli, randgen, solvers
+with contextlib.redirect_stdout(io.StringIO()):
+    steps["selective code"] = cli.main([
+        "--game", %(bribe)r, "--procedure", "selective",
+        "--restrictions", %(delta)r, "--oracle-check", "2",
+        "--format", "structured",
+    ])
+    steps["cli selective"] = lab_loaded()
+    solvers.rationalizability(randgen.random_game(1))
+    steps["random game"] = lab_loaded()
+    steps["scenario code"] = cli.main(
+        ["--game", %(cleo)r, "--stability-scenario", %(scenario)r]
+    )
+    steps["scenario"] = lab_loaded()
+print(json.dumps(steps))
+""" % {"bribe": BRIBE, "delta": BRIBE_DELTA, "cleo": CLEO, "scenario": SCENARIO}
+
+
+def test_solver_processes_load_no_scipy_optimize():
+    """Solver, oracle and CLI solve runs start without scipy.optimize; the
+    lab's first root find loads it. This needs a fresh interpreter, since
+    this process already holds scipy.optimize."""
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == {
+        "import fisolve": False,
+        "selective code": 0,
+        "cli selective": False,
+        "random game": False,
+        "scenario code": 0,
+        "scenario": True,
+    }

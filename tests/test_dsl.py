@@ -55,6 +55,35 @@ def test_decimal_payoffs_are_exact():
     assert g.leaves["x"].payoffs[0] == Fraction(18, 5)
 
 
+REPEATS = """game rep
+players A B
+tree
+  node root owner A
+    l -> node br owner B
+      x -> leaf (1/2, 0.5)
+      y -> leaf (2/4, 1/2)
+    r -> leaf (1/2,1/2)
+"""
+
+
+def test_repeated_payoff_literals():
+    """Repeated and respelled literals parse to the same exact values and
+    serialize to the same bytes; a bad literal after good repeats of its
+    neighbours is reported on its own line."""
+    g = dsl.parse_game(REPEATS)
+    assert {leaf.payoffs for leaf in g.leaves.values()} == {(Fraction(1, 2),) * 2}
+    assert dsl.serialize_game(g) == (
+        "game rep\nplayers A B\ntree\n  node root owner A\n"
+        "    l -> node br owner B\n      x -> leaf (1/2, 1/2)\n"
+        "      y -> leaf (1/2, 1/2)\n    r -> leaf (1/2, 1/2)\n"
+    )
+    for bad, line in (("(2/4, 1/2)", 7), ("(1/2,1/2)", 8)):
+        with pytest.raises(dsl.DslSyntaxError) as exc:
+            dsl.parse_game(REPEATS.replace(bad, "(1/2, 1/0)"))
+        assert exc.value.line == line
+        assert "bad rational literal" in str(exc.value)
+
+
 def test_duplicate_player_rejected():
     with pytest.raises(dsl.DslSyntaxError):
         dsl.parse_game("game g\nplayers A A\ntree\n  node r owner A\n    x -> leaf (1, 1)\n")
