@@ -226,7 +226,6 @@ class BeliefSpace:
         self._lt = [int.from_bytes(row.tobytes(), "little") for row in packed]
         self._rationality = {}
         self._signs = {}
-        self._opp_reach = {}
         self._queries = {}
         self._empty = {}  # clause map -> first empty infoset or None
 
@@ -241,16 +240,6 @@ class BeliefSpace:
         """The mask of the combos where own strategy s earns strictly less
         than own strategy a."""
         return (self._lt[s] >> (a * self._lt_width)) & self.full
-
-    def opponent_reach(self, opponent, h):
-        """The opponent's strategy indices that allow own infoset h. Cached."""
-        key = (opponent, h)
-        got = self._opp_reach.get(key)
-        if got is None:
-            got = self._opp_reach[key] = frozenset(
-                s.index for s in self.game.strategies_reaching(opponent, h)
-            )
-        return got
 
     def component_mask(self, opponent, indices):
         """The combos whose component for the opponent is in `indices`."""
@@ -498,24 +487,18 @@ class MandateItem:
 
 
 def strong_belief_mandate(game, player, label, opponent, targets):
-    """Strong belief in a set of one opponent's strategies.
-
-    Active at h iff some target strategy of the opponent allows h; there the
-    allowed combos are those whose opponent component is a target.
-    """
-    sp = space_for(game, player)
-    tset = frozenset(s.index for s in targets)
-    hits = sp.component_mask(opponent, tset)
-    masks = {}
-    for h in sp.infosets:
-        if not tset.isdisjoint(sp.opponent_reach(opponent, h)):
-            masks[h] = hits & sp.event_mask[h]
-    return MandateItem(label, masks)
+    """Strong belief in a set of one opponent's strategies: the joint
+    obligation over that one opponent. It is active at own infoset h exactly
+    where the combos with a target component meet h's event, and allows
+    just those combos there. That is where some target allows h, because
+    perfect recall leaves every other opponent a strategy that allows h."""
+    return joint_strong_belief_mandate(game, player, label, {opponent: targets})
 
 
 def joint_strong_belief_mandate(game, player, label, targets_by_player):
-    """Correlated variant: strong belief in the product of opponent sets,
-    active where the joint set meets the conditioning event."""
+    """Strong belief in the product of opponent strategy sets: active at own
+    infoset h exactly where the target combos meet h's event, allowing that
+    intersection there."""
     sp = space_for(game, player)
     hits = sp.full
     for j, ss in targets_by_player.items():

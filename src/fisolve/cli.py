@@ -329,13 +329,7 @@ def _run_compare(args, game, delta, names):
             "runs": [
                 {
                     "procedure": name,
-                    "rounds": [
-                        {
-                            p: [s.name for s in r.strategies(p)]
-                            for p in game.players
-                        }
-                        for r in tr.rounds
-                    ],
+                    "rounds": dsl._round_sets(game, tr.rounds),
                     "fixed_point_round": tr.fixed_point_round,
                     "empty": tr.survivors.is_empty(),
                     "outcomes": [leaf.name for leaf in tr.outcomes],
@@ -346,7 +340,7 @@ def _run_compare(args, game, delta, names):
             "differing_rounds": diffs,
             "outcome_relation": relation,
         }
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        print(dsl.to_json(doc))
         return 0
 
     print("comparing %s vs %s on game %s" % (names[0], names[1], game.name))
@@ -383,7 +377,7 @@ def _run_stability(args, game):
             ],
             "all_passed": ok,
         }
-        print(json.dumps(out, sort_keys=True, indent=2))
+        print(dsl.to_json(out))
     else:
         for d, p, t in rows:
             print("%s  %s  (%s)" % ("PASS" if p else "FAIL", d, t))

@@ -234,6 +234,8 @@ def parse_game(text):
     infoset_order = []
     pooled = set()
     for isname, owner, member_names, lineno in declared_infosets:
+        if isname in infosets:
+            raise DslSyntaxError("infoset %r declared twice" % (isname,), lineno)
         for nn in member_names:
             if nn not in nodes:
                 raise UnknownIdentifier("infoset %r lists unknown node %r" % (isname, nn), lineno)
@@ -321,16 +323,17 @@ def serialize_solution(trace):
     return to_json(_solution_doc(trace))
 
 
+def _round_sets(game, rounds):
+    """Each round's surviving strategy names per player, for JSON output."""
+    return [
+        {p: [s.name for s in r.strategies(p)] for p in game.players}
+        for r in rounds
+    ]
+
+
 def _solution_doc(trace):
     """The "fisolve.trace/1" document of a trace, as plain dicts and lists."""
     game = trace.game
-
-    def round_sets(rounds):
-        return [
-            {p: [s.name for s in r.strategies(p)] for p in game.players}
-            for r in rounds
-        ]
-
     witnesses = {}
     for p in game.players:
         per = {}
@@ -350,7 +353,7 @@ def _solution_doc(trace):
         "game": game.name,
         "procedure": trace.procedure,
         "players": list(game.players),
-        "rounds": round_sets(trace.rounds),
+        "rounds": _round_sets(game, trace.rounds),
         "fixed_point_round": trace.fixed_point_round,
         "empty": trace.survivors.is_empty(),
         "outcomes": [
@@ -373,7 +376,7 @@ def _solution_doc(trace):
     if trace.base is not None:
         doc["base"] = {
             "procedure": trace.base.procedure,
-            "rounds": round_sets(trace.base.rounds),
+            "rounds": _round_sets(game, trace.base.rounds),
             "fixed_point_round": trace.base.fixed_point_round,
         }
     return doc

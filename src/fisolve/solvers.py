@@ -10,6 +10,13 @@ gate and the restrictions. All players update simultaneously; the fixed
 point is certified by one confirmation round and always arrives within
 1 + total strategy count rounds.
 
+Round n's obligations for a player are strong belief in the survivors of
+rounds 0 .. n-1: per round, one item per opponent whose set is not full
+(one joint item over the product when correlated), skipping an item whose
+key is already listed. The solve carries each player's list forward, so
+round n appends only round n-1's items, and the gate's list, built once in
+the same way with labels prefixed "base ", follows it.
+
 Decisions are made per plan. Two strategies of a player are realization
 equivalent when they reach the same leaf against every opponent profile
 (`PayoffTable.plans`); such a class is a plan, represented by its lowest
@@ -117,52 +124,46 @@ class SolveTrace:
         )
 
 
-def _round_mandates(game, player, history, correlated):
-    """G2: strong belief in each earlier round's survivors, per opponent.
+def _add_round(tower, game, player, q, survivors, correlated, prefix=""):
+    """Append to tower (obligation key -> item) strong belief in round q's
+    survivors: one item per opponent, or one joint item over their product
+    when correlated. A full strategy set is a vacuous target and is skipped;
+    a key already in the tower keeps its first item."""
+    targets = {
+        j: survivors.strategies(j)
+        for j in game.players
+        if j != player and len(survivors.strategies(j)) < len(game.strategies(j))
+    }
+    if correlated:
+        if not targets:
+            return
+        label = "%sround-%d survivors (joint)" % (prefix, q)
+        items = [beliefs.joint_strong_belief_mandate(game, player, label, targets)]
+    else:
+        items = [
+            beliefs.strong_belief_mandate(
+                game, player, "%sround-%d survivors of %s" % (prefix, q, j), j, ts
+            )
+            for j, ts in targets.items()
+        ]
+    for item in items:
+        tower.setdefault(item.key(), item)
 
-    history: list of ProfileSets from round 0 up. Obligations whose target
-    is the full strategy set are vacuous and skipped; identical target sets
-    across rounds collapse to one item.
-    """
-    items = []
-    seen = set()
-    full_sizes = {p: len(game.strategies(p)) for p in game.players}
-    for q, comp in enumerate(history):
-        if correlated:
-            targets = {
-                j: comp.strategies(j)
-                for j in game.players
-                if j != player and len(comp.strategies(j)) < full_sizes[j]
-            }
-            if not targets:
-                continue
-            item = beliefs.joint_strong_belief_mandate(
-                game, player, "round-%d survivors (joint)" % q, targets
-            )
-            if item.key() not in seen:
-                seen.add(item.key())
-                items.append(item)
-            continue
-        for j in game.players:
-            targets = comp.strategies(j)
-            if j == player or len(targets) >= full_sizes[j]:
-                continue
-            item = beliefs.strong_belief_mandate(
-                game, player, "round-%d survivors of %s" % (q, j), j, targets
-            )
-            if item.key() not in seen:
-                seen.add(item.key())
-                items.append(item)
-    return items
+
+def _round_mandates(game, player, history, correlated):
+    """G2: strong belief in each round's survivors, history from round 0 up."""
+    tower = {}
+    for q, survivors in enumerate(history):
+        _add_round(tower, game, player, q, survivors, correlated)
+    return list(tower.values())
 
 
 def _gate_mandates(game, player, gate_rounds, correlated):
-    if not gate_rounds:
-        return []
-    items = _round_mandates(game, player, gate_rounds, correlated)
-    for it in items:
-        it.label = "base " + it.label
-    return items
+    """The gate: strong belief in each round of the base run, labeled "base"."""
+    tower = {}
+    for q, survivors in enumerate(gate_rounds or ()):
+        _add_round(tower, game, player, q, survivors, correlated, "base ")
+    return list(tower.values())
 
 
 def generalized_solve(spec):
@@ -176,6 +177,7 @@ def generalized_solve(spec):
         player: _gate_mandates(game, player, spec.gate_rounds, spec.correlated)
         for player in game.players
     }
+    towers = {player: {} for player in game.players}
     plans = {player: game.payoff_table().plans(player) for player in game.players}
     memo = {}
     limit = 1 + sum(len(game.strategies(p)) for p in game.players)
@@ -185,8 +187,8 @@ def generalized_solve(spec):
         elim = {}
         trace.mandates[n] = {}
         for player in game.players:
-            mandates = _round_mandates(game, player, trace.rounds, spec.correlated)
-            mandates.extend(gate[player])
+            _add_round(towers[player], game, player, n - 1, prev, spec.correlated)
+            mandates = list(towers[player].values()) + gate[player]
             trace.mandates[n][player] = mandates
             keep = []
             strategies = game.strategies(player)

@@ -42,8 +42,12 @@ import numpy as np
 _RESIDUAL_TOL = 1e-10
 # Rounding allowance for a box vertex's free coordinate (see _box_vertices).
 _VERTEX_SLACK = 1e-12
-# Default largest support size that find_equilibrium_near tries.
+# The largest support size that find_equilibrium_near tries.
 _SUPPORT_CAP = 3
+# The regret up to which find_equilibrium_near accepts a root as Nash.
+_NASH_TOL = 1e-9
+# How far a MixedStrategy's weights may stray below 0 or their sum from 1.
+_WEIGHT_TOL = 1e-12
 
 
 class StabilityError(Exception):
@@ -57,7 +61,7 @@ class SearchBudgetExceeded(StabilityError):
 class MixedStrategy:
     """One player's weights over their full strategies, by strategy name."""
 
-    def __init__(self, game, player, weights, tol=1e-12):
+    def __init__(self, game, player, weights):
         if player not in game.players:
             raise StabilityError("unknown player %r" % player)
         names = [s.name for s in game.strategies(player)]
@@ -70,9 +74,9 @@ class MixedStrategy:
             vec[names.index(name)] = float(w)
         if not np.isfinite(vec).all():
             raise StabilityError("a weight of %s is not a finite number" % player)
-        if vec.min() < -tol:
+        if vec.min() < -_WEIGHT_TOL:
             raise StabilityError("negative weight for %s" % player)
-        if abs(vec.sum() - 1.0) > max(tol, 1e-12):
+        if abs(vec.sum() - 1.0) > _WEIGHT_TOL:
             raise StabilityError(
                 "weights of %s sum to %r, not 1" % (player, vec.sum())
             )
@@ -258,7 +262,7 @@ def _box_vertices(target_vec, support, epsilon):
     return rows
 
 
-def _dominance_margin(nf, support_cap):
+def _dominance_margin(nf):
     """The gain above which a pure strategy refutes a support strategy.
 
     `_solve_support` accepts a root z whose residuals are all within
@@ -270,7 +274,7 @@ def _dominance_margin(nf, support_cap):
     bounds leaves room for rounding, so no accepted profile has a support
     strategy trailing by more."""
     scale = max(float(np.max(np.abs(t))) for t in nf.tensors.values())
-    size = min(support_cap, max(nf.shape))
+    size = min(_SUPPORT_CAP, max(nf.shape))
     spread = 2.0 * scale * (len(nf.players) - 1) * (2 * size + 1)
     return 10.0 * _RESIDUAL_TOL * (2.0 + spread)
 
@@ -291,14 +295,7 @@ def _dominated(nf, k, vertices, margin):
     return frozenset(int(i) for i in np.nonzero((gain > margin).any(axis=0))[0])
 
 
-def find_equilibrium_near(
-    game_or_nf,
-    target,
-    epsilon,
-    tol=1e-9,
-    support_cap=_SUPPORT_CAP,
-    budget=20000,
-):
+def find_equilibrium_near(game_or_nf, target, epsilon, budget=20000):
     """Search for a Nash profile within epsilon (max-norm over all pure
     strategy weights) of the target, by support enumeration plus a local
     root find on the indifference and feasibility conditions. Returns a
@@ -306,7 +303,7 @@ def find_equilibrium_near(
     grid is larger than the budget.
 
     Support combinations are tried in the order of `itertools.product`
-    over each player's supports of size at most support_cap, and each
+    over each player's supports of size at most _SUPPORT_CAP, and each
     player's supports run nearest to the target's support first (size of
     the symmetric difference, then size, then index order). The first
     combination whose root is Nash and epsilon-close is returned.
@@ -323,18 +320,19 @@ def find_equilibrium_near(
     finder's residual tolerance and the largest absolute payoff (see
     `_dominance_margin`). Refuted combinations can never return a close
     profile, so the first hit is the one an unpruned search returns. None
-    means that no combination of supports of size at most support_cap
-    gave a close equilibrium; larger supports are not searched."""
-    return _search(game_or_nf, target, epsilon, tol, support_cap, budget)[0]
+    means that no combination of supports of size at most _SUPPORT_CAP
+    gave a close equilibrium; larger supports are not searched. A root is
+    Nash when no player's regret exceeds _NASH_TOL."""
+    return _search(game_or_nf, target, epsilon, budget)[0]
 
 
-def _search(game_or_nf, target, epsilon, tol, support_cap, budget):
+def _search(game_or_nf, target, epsilon, budget):
     """find_equilibrium_near's search; also returns how many support
     combinations reached the root finder."""
     nf = _as_nf(game_or_nf)
     target_vecs = _vectors(nf, target)
     orders = [
-        _support_orders(nf.shape[k], target_vecs[k], support_cap)
+        _support_orders(nf.shape[k], target_vecs[k], _SUPPORT_CAP)
         for k in range(len(nf.players))
     ]
     total = 1
@@ -347,7 +345,7 @@ def _search(game_or_nf, target, epsilon, tol, support_cap, budget):
 
     boxes = {}
     dominated = {}
-    margin = _dominance_margin(nf, support_cap)
+    margin = _dominance_margin(nf)
     root_finds = 0
     for combo in itertools.product(*orders):
         vertices = []
@@ -368,7 +366,7 @@ def _search(game_or_nf, target, epsilon, tol, support_cap, budget):
         if refuted:
             continue
         root_finds += 1
-        found = _solve_support(nf, combo, target_vecs, tol)
+        found = _solve_support(nf, combo, target_vecs, _NASH_TOL)
         if found is None:
             continue
         close = all(
@@ -711,9 +709,7 @@ def run_scenario(game, scenario):
             details = []
             hits = []
             for name, target in zip(check["targets"], targets):
-                found, root_finds = _search(
-                    perturbed, target, eps, 1e-9, _SUPPORT_CAP, 20000
-                )
+                found, root_finds = _search(perturbed, target, eps, 20000)
                 hits.append(found is not None)
                 if found is not None:
                     details.append("%s:hit" % name)

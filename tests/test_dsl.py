@@ -124,6 +124,22 @@ def test_infoset_unknown_node():
         dsl.parse_game(bad)
 
 
+def test_repeated_infoset_name_reported_at_its_line():
+    text = (
+        "game g\nplayers A B\ntree\n  node root owner A\n"
+        "    l -> node b1 owner B\n      x -> leaf (1, 0)\n      y -> leaf (0, 1)\n"
+        "    r -> node b2 owner B\n      x -> leaf (0, 1)\n      y -> leaf (1, 0)\n"
+        "infosets\n  h: B { b1 }\n  h: B { b2 }\n"
+    )
+    with pytest.raises(dsl.DslSyntaxError) as exc:
+        dsl.parse_game(text)
+    assert exc.value.line == 13
+    assert "infoset 'h' declared twice" in str(exc.value)
+    # One declaration of each name still pools the nodes as before.
+    g = dsl.parse_game(text.replace("h: B { b2 }", "k: B { b2 }"))
+    assert g.infosets["h"].nodes == ("b1",) and g.infosets["k"].nodes == ("b2",)
+
+
 # -- restrictions ----------------------------------------------------------
 
 

@@ -3,9 +3,11 @@
 The other tests check properties of a solve (valid witnesses, invariants
 between procedures, oracle concordance); these pin its exact output, so a
 change to the engine that picks a different but equally valid witness, or
-words a reason differently, shows up here. The digests and the files under
-`golden/` were written by the engine before its belief kernel moved to
-bitmasks; regenerate them only for a deliberate change of output.
+words a reason differently, shows up here. The digests and the fixture
+files under `golden/` were written by the engine before its belief kernel
+moved to bitmasks, and the `--compare` file before the solve carried its
+obligation lists from round to round; regenerate them only for a
+deliberate change of output.
 """
 
 import hashlib
@@ -82,3 +84,16 @@ def golden_runs():
 def test_fixture_structured_output_is_pinned(capsys, name, argv):
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / (name + ".json")).read_text()
+
+
+def test_compare_structured_output_is_pinned(capsys):
+    """The --compare document, pinned in the same way (CI cmps it too)."""
+    argv = [
+        "--game", str(GAMES / "bribe.game"),
+        "--compare", "selective,strong-delta",
+        "--restrictions", str(GAMES / "bribe_report.beliefs"),
+        "--format", "structured",
+    ]
+    assert cli.main(argv) == 0
+    golden = GOLDEN / "bribe_compare_selective_strong-delta.json"
+    assert capsys.readouterr().out == golden.read_text()

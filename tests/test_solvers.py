@@ -369,3 +369,73 @@ def test_trace_records_the_queried_mandates(cleo, cleo_nw, cleo_base, monkeypatc
             if tr.rounds[n - 1].strategies(player)
         }
         assert asked and recorded == asked
+
+
+def _reference_tower(game, player, rounds, correlated, prefix=""):
+    """Round obligations rebuilt from scratch with plain sets: strong belief
+    in each round's non-full opponent sets (jointly when correlated), active
+    where the target combos meet an infoset's event, first key kept.
+    Returns [(label, key)]."""
+    sp = beliefs.space_for(game, player)
+    out, seen = [], set()
+    for q, comp in enumerate(rounds):
+        opps = [
+            j for j in game.players
+            if j != player and len(comp.strategies(j)) < len(game.strategies(j))
+        ]
+        if correlated:
+            wanted = [("round-%d survivors (joint)" % q, opps)] if opps else []
+        else:
+            wanted = [("round-%d survivors of %s" % (q, j), [j]) for j in opps]
+        for label, targets in wanted:
+            inside = {
+                t for t, combo in enumerate(sp.combos)
+                if all(
+                    combo[sp.opp_pos[j]] in comp.strategies(j) for j in targets
+                )
+            }
+            key = tuple(sorted(
+                (h, sum(1 << t for t in sp.event[h] & inside))
+                for h in sp.infosets
+                if sp.event[h] & inside
+            ))
+            if key not in seen:
+                seen.add(key)
+                out.append((prefix + label, key))
+    return out
+
+
+def test_round_obligations_match_a_from_scratch_tower():
+    """Each round's recorded list equals the tower of every earlier round
+    plus the gate, rebuilt from scratch: same labels, keys and order. Random
+    two- and three-player games, per opponent and correlated, with and
+    without the base run as a gate."""
+    players_seen = set()
+    extended = 0
+    for seed in range(12):
+        game = randgen.random_game(seed, max_strategies=6)
+        players_seen.add(len(game.players))
+        base = solvers.rationalizability(game, explain=False)
+        for correlated in (False, True):
+            for gate in (None, base.rounds):
+                spec = solvers.ProcedureSpec(
+                    game,
+                    "generalized",
+                    gate_rounds=gate,
+                    correlated=correlated,
+                    explain=False,
+                )
+                tr = solvers.generalized_solve(spec)
+                for n, lists in tr.mandates.items():
+                    for player in game.players:
+                        want = _reference_tower(
+                            game, player, tr.rounds[:n], correlated
+                        ) + _reference_tower(
+                            game, player, gate or (), correlated, "base "
+                        )
+                        got = [(it.label, it.key()) for it in lists[player]]
+                        assert got == want
+                        if n > 1 and len(got) > len(tr.mandates[n - 1][player]):
+                            extended += 1
+    assert players_seen == {2, 3}
+    assert extended > 0

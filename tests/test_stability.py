@@ -442,7 +442,7 @@ def _refuted(nf, combo, vecs, epsilon):
     ]
     if any(len(b) == 0 for b in boxes):
         return True
-    margin = stability._dominance_margin(nf, 3)
+    margin = stability._dominance_margin(nf)
     return any(
         stability._dominated(nf, k, boxes, margin).intersection(supp)
         for k, supp in enumerate(combo)
