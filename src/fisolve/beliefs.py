@@ -33,8 +33,14 @@ settled each query.
 Everything before the pattern LPs is mask algebra. A set of a player's
 opponent combos is a Python int whose bit t stands for combo t (the combos'
 mixed-radix index); events, allowed sets and clause-good sets are such
-masks. The space holds each player's sign masks from one exact comparison
-pass over the payoff table: `lt(s, a)` has bit t set iff u(s, t) < u(a, t).
+masks. A space is built from masks alone: its events come from the game's
+walk (`GameTree.joint_reaching_mask`), its event groups are the distinct
+event masks, its inclusion forest is mask containment, and its
+alternatives per infoset are the bits of the game's own reach masks. The
+index sets of events (`BeliefSpace.event`, `_Group.csorted`) and the combo
+tuples are spelled out on first use, by clauses, pattern LPs and checks.
+The space holds each player's sign masks from one exact comparison pass
+over the payoff table: `lt(s, a)` has bit t set iff u(s, t) < u(a, t).
 A rationality row of strategy s against alternative a at infoset h is then
 `lt(s, a) & event(h)`, the combos where the row is negative; a group is
 dominated when some row covers its allowed set, and its good points are the
@@ -46,9 +52,10 @@ re-query that names an elimination's reason reuses it. The LP rows of a
 strategy (integer payoff differences) are built only when its pattern LPs
 run.
 
-Payoffs come from the game's exact payoff table (`GameTree.payoff_table`),
-built in one walk of the tree: per player, Python-int numerators over the
-strategy profiles and one common denominator L > 0. A rationality row is
+Payoffs come from the game's exact payoff table (`GameTree.payoff_table`):
+per player, Python-int numerators over the leaves, read per strategy
+profile through the table's leaf index, and one common denominator L > 0.
+The sign masks compare dense ranks of those numerators. A rationality row is
 the difference of two integer rows, L * (u(s, .) - u(alt, .)). The sign
 masks are its signs, and the optimality checks compare two
 expectations under the same weights, so the factor L changes none of them.
@@ -64,6 +71,7 @@ the agreement events as clause rows P(t) = w. Every obligation is an allowed
 set or a linear row on one event group's conditional.
 """
 
+import math
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -71,6 +79,7 @@ from itertools import product
 import numpy as np
 
 from . import lp
+from .model import bits
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -124,16 +133,6 @@ def _mask(ts):
     return m
 
 
-def _bits(mask):
-    """The combo indices of a mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _first_in(mask, levels):
     """The first combo of a nonempty mask in a point order: `levels` are
     disjoint masks, earlier levels first, ascending index within a level."""
@@ -166,68 +165,75 @@ class BeliefSpace:
         self.opponents = tuple(p for p in game.players if p != player)
         self.opp_pos = {p: k for k, p in enumerate(self.opponents)}
 
-        strategies = [game.strategies(j) for j in self.opponents]
         # Combo t is the mixed-radix number of its components' indices, the
         # first opponent most significant.
-        self.radix = tuple(len(ss) for ss in strategies)
-        self.combos = tuple(product(*strategies))
-        self.full = (1 << len(self.combos)) - 1
+        self.radix = tuple(len(game.strategies(j)) for j in self.opponents)
+        self.ncombos = math.prod(self.radix)
+        self.full = (1 << self.ncombos) - 1
 
         self.infosets = tuple(game.player_infosets[player])
-        self.event = {}
         self.event_mask = {}
         by_event = {}
         for h in self.infosets:
-            ts = game.joint_reaching(player, h)
-            ev = frozenset(ts)
-            self.event[h] = ev
-            self.event_mask[h] = _mask(ts)
-            by_event.setdefault(ev, (tuple(ts), self.event_mask[h], []))[2].append(h)
+            mask = self.event_mask[h] = game.joint_reaching_mask(player, h)
+            by_event.setdefault(mask, []).append(h)
 
-        # Groups: one per distinct event, in a fixed topological order
-        # (larger events first, so parents precede children).
-        keys = sorted(by_event, key=lambda ev: (-len(ev), by_event[ev][0]))
+        # Groups: one per distinct event, in a fixed topological order:
+        # larger events first, so parents precede children, and among
+        # equal sizes the event whose ascending combo list is smaller
+        # first. Two such lists first differ at the lowest bit of the
+        # masks' difference, and the list holding it is the smaller: that
+        # is the order of the bit-reversed masks, descending.
+        width = "0%db" % self.ncombos
+
+        def order(mask):
+            return (-mask.bit_count(), -int(format(mask, width)[::-1], 2))
+
         self.groups = [
-            _Group(k, ev, by_event[ev][1], tuple(by_event[ev][2]), by_event[ev][0])
-            for k, ev in enumerate(keys)
+            _Group(k, mask, tuple(by_event[mask]))
+            for k, mask in enumerate(sorted(by_event, key=order))
         ]
-        self.group_of = {}
-        for g in self.groups:
-            for h in g.infosets:
-                self.group_of[h] = g.index
+        self.group_of = {h: g.index for g in self.groups for h in g.infosets}
 
+        # The forest: a group's strict supersets all precede it. Its parent
+        # is the last of them, the smallest; it is the only minimal one iff
+        # every other contains it.
         self.parent = [None] * len(self.groups)
         for g in self.groups:
-            supers = [g2 for g2 in self.groups if _strict_subset(g.mask, g2.mask)]
-            minimal = [
-                g2
-                for g2 in supers
-                if not any(_strict_subset(g3.mask, g2.mask) for g3 in supers)
-            ]
-            if len(minimal) > 1:
-                raise UnsupportedBeliefStructure(
-                    "event of %s has several minimal supersets" % (g.infosets[0],)
-                )
-            if minimal:
-                self.parent[g.index] = minimal[0].index
+            supers = [g2 for g2 in self.groups[: g.index] if g2.mask & g.mask == g.mask]
+            if supers:
+                least = supers[-1].mask
+                if any(g2.mask & least != least for g2 in supers):
+                    raise UnsupportedBeliefStructure(
+                        "event of %s has several minimal supersets" % (g.infosets[0],)
+                    )
+                self.parent[g.index] = supers[-1].index
 
         # Own reachability per infoset: the strategy indices, ascending.
-        self.alts = {
-            h: tuple(s.index for s in game.strategies_reaching(player, h))
-            for h in self.infosets
-        }
-        self.reach = {h: frozenset(alts) for h, alts in self.alts.items()}
+        self.alts = {h: tuple(bits(game.reach_mask(player, h))) for h in self.infosets}
         # Sign masks from one comparison of the payoff ranks, packed
         # little-endian: bit t of field a of _lt[s] is set iff s earns
         # strictly less than a against combo t (see `lt`).
         ranks = game.payoff_table().ranks(player)
         packed = np.packbits(ranks[:, None, :] < ranks[None, :, :], axis=-1, bitorder="little")
-        self._lt_width = 8 * packed.shape[-1]
-        self._lt = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        self._lt_width = width = 8 * packed.shape[-1]
+        every = int.from_bytes(packed.tobytes(), "little")
+        row = width * len(ranks)
+        self._lt = [every >> (s * row) & ((1 << row) - 1) for s in range(len(ranks))]
         self._rationality = {}
         self._signs = {}
         self._queries = {}
         self._empty = {}  # clause map -> first empty infoset or None
+
+    @cached_property
+    def event(self):
+        """infoset -> its conditioning event as a set of combo indices."""
+        return {h: frozenset(bits(m)) for h, m in self.event_mask.items()}
+
+    @cached_property
+    def combos(self):
+        """The opponent combos, tuples of Strategy objects, by index."""
+        return tuple(product(*(self.game.strategies(j) for j in self.opponents)))
 
     @cached_property
     def numerators(self):
@@ -253,10 +259,8 @@ class BeliefSpace:
         unit = 0
         for k in indices:
             unit |= block << (k * stride)
-        m = 0
-        for start in range(0, len(self.combos), period):
-            m |= unit << start
-        return m
+        # One copy of the unit per period.
+        return unit * (self.full // ((1 << period) - 1))
 
     def sign_rows(self, own_index):
         """The rationality rows of an own strategy as masks: (rows, by_group).
@@ -271,7 +275,7 @@ class BeliefSpace:
             rows = {}
             by_group = {}
             for h in self.infosets:
-                if own_index not in self.reach[h]:
+                if own_index not in self.alts[h]:
                     continue
                 gi = self.group_of[h]
                 ev = self.event_mask[h]
@@ -295,7 +299,7 @@ class BeliefSpace:
             mine = self.numerators[own_index]
             rows = []
             for h in self.infosets:
-                if own_index not in self.reach[h]:
+                if own_index not in self.alts[h]:
                     continue
                 for alt in self.alts[h]:
                     if alt == own_index:
@@ -314,19 +318,22 @@ class BeliefSpace:
         )
 
 
-def _strict_subset(a, b):
-    return a != b and a & b == a
-
-
 class _Group:
-    __slots__ = ("index", "event", "mask", "infosets", "csorted")
+    """One distinct conditioning event: its mask and the infosets sharing
+    it; `csorted` and `event` spell the mask out on first use."""
 
-    def __init__(self, index, event, mask, infosets, csorted):
+    def __init__(self, index, mask, infosets):
         self.index = index
-        self.event = event
         self.mask = mask
         self.infosets = infosets
-        self.csorted = csorted
+
+    @cached_property
+    def csorted(self):
+        return tuple(bits(self.mask))
+
+    @cached_property
+    def event(self):
+        return frozenset(self.csorted)
 
 
 class ConditionalBeliefs:
@@ -408,7 +415,7 @@ def lexicographic_cps(game, player, order):
     sp = space_for(game, player)
     seen = list(order)
     taken = set(seen)
-    rest = [t for t in range(len(sp.combos)) if t not in taken]
+    rest = [t for t in range(sp.ncombos) if t not in taken]
     full = seen + rest
     table = {}
     for h in sp.infosets:
@@ -477,7 +484,7 @@ class MandateItem:
 
     @property
     def allowed(self):
-        return {h: frozenset(_bits(m)) for h, m in self.masks.items()}
+        return {h: frozenset(bits(m)) for h, m in self.masks.items()}
 
     def key(self):
         return self._key
@@ -528,11 +535,11 @@ def sequential_best_reply(game, player, strategy, cps):
     Compares expected payoff numerators, all over the same denominator."""
     sp = space_for(game, player)
     for h in sp.infosets:
-        if strategy.index in sp.reach[h]:
+        if strategy.index in sp.alts[h]:
             row = cps.table[h]
             value = {
                 s: sum((w * sp.numerators[s][t] for t, w in row.items()), ZERO)
-                for s in sp.reach[h]
+                for s in sp.alts[h]
             }
             if max(value.values()) > value[strategy.index]:
                 return False
@@ -673,7 +680,7 @@ class _Bundle:
         sp = self.space
         for gi, mask in self.allowed.items():
             h = sp.groups[gi].infosets[0]
-            if cps.mass(h, _bits(mask)) != 1:
+            if cps.mass(h, bits(mask)) != 1:
                 return False
         for gi, rows in self.rows.items():
             h = sp.groups[gi].infosets[0]
@@ -720,9 +727,9 @@ def _points(bundle):
     masks; first[gi] is group gi's first combo in that order."""
     if bundle.points is None:
         space = bundle.space
-        score = [0] * len(space.combos)
+        score = [0] * space.ncombos
         for mask in bundle.allowed.values():
-            for t in _bits(mask):
+            for t in bits(mask):
                 score[t] += 1
         by_score = {}
         for t, k in enumerate(score):
@@ -732,7 +739,7 @@ def _points(bundle):
         for g in space.groups:
             mask = bundle.allowed.get(g.index, g.mask)
             for coefs, op, rhs in bundle.rows.get(g.index, ()):
-                for t in _bits(mask):
+                for t in bits(mask):
                     if not _holds(coefs.get(t, ZERO), op, rhs):
                         mask &= ~(1 << t)
             good.append(mask)
@@ -941,7 +948,7 @@ def _solve_one(space, bundles, block_of, fresh, zero_rows, eps_rows):
     for s, b in enumerate(bundles):
         for gi, mask in b.allowed.items():
             key = block_of[(s, gi)]
-            for t in _bits(groups[gi].mask & ~mask):
+            for t in bits(groups[gi].mask & ~mask):
                 zeroed.add((key, t))
 
     cols = {}

@@ -65,64 +65,72 @@ _ACTION = r"[A-Za-z0-9_+\-]+"
 
 _RE_GAME = re.compile(r"^game\s+(%s)$" % _NAME)
 _RE_PLAYERS = re.compile(r"^players\s+(.+)$")
-_RE_NODE = re.compile(r"^node\s+(%s)\s+owner\s+(%s)$" % (_NAME, _NAME))
-_RE_ACTION_LEAF = re.compile(r"^(%s)\s*->\s*leaf\s*\(([^)]*)\)$" % _ACTION)
-_RE_ACTION_NODE = re.compile(
-    r"^(%s)\s*->\s*node\s+(%s)\s+owner\s+(%s)$" % (_ACTION, _NAME, _NAME)
+# One match per tree line: a node declaration (groups 1-2), or an action
+# line (group 3) to a leaf (group 4) or to a node (groups 5-6).
+_RE_TREE_LINE = re.compile(
+    r"^(?:node\s+(%s)\s+owner\s+(%s)"
+    r"|(%s)\s*->\s*(?:leaf\s*\(([^)]*)\)|node\s+(%s)\s+owner\s+(%s)))$"
+    % (_NAME, _NAME, _ACTION, _NAME, _NAME)
 )
 _RE_INFOSET = re.compile(r"^(%s)\s*:\s*(%s)\s*\{([^}]*)\}$" % (_NAME, _NAME))
 
 
 def _rational(text, lineno):
+    literal = text.strip()
+    if literal.isdecimal():
+        return Fraction(int(literal))  # the same value, without Fraction's parser
     try:
-        return Fraction(text.strip())
+        return Fraction(literal)
     except (ValueError, ZeroDivisionError):
         raise DslSyntaxError("bad rational literal %r" % (text,), lineno)
 
 
-def _indent_of(raw, lineno):
-    stripped = raw.lstrip(" ")
-    if stripped.startswith("\t") or "\t" in raw[: len(raw) - len(stripped)]:
-        raise DslSyntaxError("tabs are not allowed in indentation", lineno)
-    return len(raw) - len(stripped)
-
-
 def _logical_lines(text):
+    """(line number, indent, stripped text) of each line that is neither
+    blank nor a comment; a tab in the indentation is an error."""
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        yield i, _indent_of(raw, i), line
+        body = raw.lstrip(" ")
+        if body[0] == "\t":
+            raise DslSyntaxError("tabs are not allowed in indentation", i)
+        yield i, len(raw) - len(body), line
 
 
 def parse_game(text):
     """Parse game text into a validated GameTree."""
     name = "game"
     players = None
+    # Decision nodes in declaration order; None while a node's block is open.
     nodes = {}
     leaves = {}
-    node_order = []
     declared_infosets = []
     section = None
 
-    # Stack of open node blocks: [node indent, name, action path,
+    # Stack of open node blocks: [node indent, name, owner, action path,
     # action indent (None until the first action), actions, children].
     stack = []
     # Payoff literal text -> its Fraction: leaves repeat a few values, and a
-    # dict hit is far cheaper than parsing the literal again.
+    # dict hit is far cheaper than parsing the literal again. A literal is
+    # keyed as written and stripped, so " 3" and "3" parse once.
     literals = {}
 
     def payoff(text, lineno):
         value = literals.get(text)
         if value is None:
-            value = literals[text] = _rational(text, lineno)
+            key = text.strip()
+            value = literals.get(key)
+            if value is None:
+                value = literals[key] = _rational(text, lineno)
+            literals[text] = value
         return value
 
     def finish(frame, lineno):
-        _indent, nname, _path, _aindent, actions, children = frame
+        _indent, nname, owner, _path, _aindent, actions, children = frame
         if not actions:
             raise DslSyntaxError("node %r has no actions" % (nname,), lineno)
-        nodes[nname] = DecisionNode(nname, nodes[nname].owner, tuple(actions), tuple(children))
+        nodes[nname] = DecisionNode(nname, owner, tuple(actions), tuple(children))
 
     def close_to(indent, lineno):
         while stack and stack[-1][0] >= indent:
@@ -160,55 +168,54 @@ def parse_game(text):
             raise DslSyntaxError("unexpected line %r" % (line,), lineno)
 
         if section == "tree":
-            while stack and stack[-1][3] is not None and indent < stack[-1][3]:
+            while stack and stack[-1][4] is not None and indent < stack[-1][4]:
                 finish(stack.pop(), lineno)
-            m = _RE_NODE.match(line)
-            if m:
+            m = _RE_TREE_LINE.match(line)
+            if m and m.group(1):
                 if stack:
                     raise DslSyntaxError(
                         "nested nodes must appear after '->' on an action line", lineno
                     )
-                nname, owner = m.groups()
-                _declare_node(nodes, leaves, node_order, players, nname, owner, lineno)
-                stack.append([indent, nname, (), None, [], []])
+                nname, owner = m.group(1, 2)
+                _declare_node(nodes, leaves, players, nname, owner, lineno)
+                stack.append([indent, nname, owner, (), None, [], []])
                 continue
             if not stack:
                 raise DslSyntaxError("expected a node declaration", lineno)
             frame = stack[-1]
-            if frame[3] is None:
+            if frame[4] is None:
                 if indent <= frame[0]:
                     raise DslSyntaxError("action line must be indented past its node", lineno)
-                frame[3] = indent
-            elif indent != frame[3]:
+                frame[4] = indent
+            elif indent != frame[4]:
                 raise DslSyntaxError("inconsistent indentation", lineno)
+            if not m:
+                raise DslSyntaxError("cannot parse tree line %r" % (line,), lineno)
 
-            m = _RE_ACTION_LEAF.match(line)
-            if m:
-                label, payoff_text = m.groups()
-                _check_new_action(frame, label, lineno)
+            label, payoff_text, nname, owner = m.group(3, 4, 5, 6)
+            if label in frame[5]:
+                raise DslSyntaxError("duplicate action %r" % (label,), lineno)
+            if payoff_text is not None:
                 parts = payoff_text.split(",")
                 if len(parts) != len(players):
                     raise ArityMismatch(
                         "%d payoffs for %d players" % (len(parts), len(players)), lineno
                     )
-                payoffs = tuple(payoff(p, lineno) for p in parts)
-                leaf_name = "/".join(frame[2] + (label,))
-                if leaf_name in leaves:
-                    raise DslSyntaxError("duplicate leaf %r" % (leaf_name,), lineno)
-                leaves[leaf_name] = Leaf(leaf_name, payoffs)
-                frame[4].append(label)
-                frame[5].append(leaf_name)
-                continue
-            m = _RE_ACTION_NODE.match(line)
-            if m:
-                label, nname, owner = m.groups()
-                _check_new_action(frame, label, lineno)
-                _declare_node(nodes, leaves, node_order, players, nname, owner, lineno)
-                frame[4].append(label)
-                frame[5].append(nname)
-                stack.append([indent, nname, frame[2] + (label,), None, [], []])
-                continue
-            raise DslSyntaxError("cannot parse tree line %r" % (line,), lineno)
+                try:
+                    payoffs = tuple(map(literals.__getitem__, parts))
+                except KeyError:
+                    payoffs = tuple(payoff(p, lineno) for p in parts)
+                child = "/".join(frame[3] + (label,))
+                if child in leaves:
+                    raise DslSyntaxError("duplicate leaf %r" % (child,), lineno)
+                leaves[child] = Leaf(child, payoffs)
+            else:
+                child = nname
+                _declare_node(nodes, leaves, players, nname, owner, lineno)
+                stack.append([indent, nname, owner, frame[3] + (label,), None, [], []])
+            frame[5].append(label)
+            frame[6].append(child)
+            continue
 
         if section == "infosets":
             m = _RE_INFOSET.match(line)
@@ -229,46 +236,42 @@ def parse_game(text):
     if players is None or not nodes:
         raise DslSyntaxError("game needs players and a tree", last_lineno)
 
-    root = node_order[0]
     infosets = {}
-    infoset_order = []
-    pooled = set()
+    pooled = {}  # node -> the infoset that lists it
     for isname, owner, member_names, lineno in declared_infosets:
         if isname in infosets:
             raise DslSyntaxError("infoset %r declared twice" % (isname,), lineno)
         for nn in member_names:
             if nn not in nodes:
                 raise UnknownIdentifier("infoset %r lists unknown node %r" % (isname, nn), lineno)
-            pooled.add(nn)
+            if nn in pooled:
+                if pooled[nn] == isname:
+                    raise DslSyntaxError("infoset %r lists node %r twice" % (isname, nn), lineno)
+                raise DslSyntaxError(
+                    "node %r is in infosets %r and %r" % (nn, pooled[nn], isname), lineno
+                )
+            pooled[nn] = isname
         if isname in nodes or isname in leaves:
             raise DslSyntaxError("infoset name %r collides with a node" % (isname,), lineno)
         actions = nodes[member_names[0]].actions
         infosets[isname] = InfoSet(isname, owner, member_names, actions)
-        infoset_order.append(isname)
-    for nn in node_order:
+    infoset_order = list(infosets)
+    for nn, node in nodes.items():
         if nn not in pooled:
-            if nn in infosets:
-                raise DslSyntaxError("infoset name %r collides with a node" % (nn,))
-            infosets[nn] = InfoSet(nn, nodes[nn].owner, (nn,), nodes[nn].actions)
+            infosets[nn] = InfoSet(nn, node.owner, (nn,), node.actions)
             infoset_order.append(nn)
 
-    game = GameTree(name, players, root, nodes, leaves, infosets, infoset_order)
+    game = GameTree(name, players, next(iter(nodes)), nodes, leaves, infosets, infoset_order)
     game.validate()
     return game
 
 
-def _declare_node(nodes, leaves, node_order, players, nname, owner, lineno):
+def _declare_node(nodes, leaves, players, nname, owner, lineno):
     if owner not in players:
         raise UnknownIdentifier("unknown player %r" % (owner,), lineno)
     if nname in nodes or nname in leaves:
         raise DslSyntaxError("duplicate node name %r" % (nname,), lineno)
-    nodes[nname] = DecisionNode(nname, owner, (), ())
-    node_order.append(nname)
-
-
-def _check_new_action(frame, label, lineno):
-    if label in frame[4]:
-        raise DslSyntaxError("duplicate action %r" % (label,), lineno)
+    nodes[nname] = None
 
 
 def _fmt_rational(x):
@@ -335,16 +338,22 @@ def _solution_doc(trace):
     """The "fisolve.trace/1" document of a trace, as plain dicts and lists."""
     game = trace.game
     witnesses = {}
+    # Members of one plan share a witness object, and a point witness may
+    # serve several plans: each distinct object is rendered once.
+    rendered = {}
     for p in game.players:
         per = {}
         for s in trace.survivors.strategies(p):
             cps = trace.witnesses.get((p, s.name))
             if cps is None:
                 continue
-            per[s.name] = {
-                h: {label: _fmt_rational(v) for label, v in row.items()}
-                for h, row in cps.as_labels().items()
-            }
+            doc = rendered.get(id(cps))
+            if doc is None:
+                doc = rendered[id(cps)] = {
+                    h: {label: _fmt_rational(v) for label, v in row.items()}
+                    for h, row in cps.as_labels().items()
+                }
+            per[s.name] = doc
         if per:
             witnesses[p] = per
 

@@ -10,11 +10,27 @@ the order of the players list, information sets in declaration order, actions
 in the order they appear at their node. All derived enumerations (strategy
 lists, opponent profile lists) are products in that order with the rightmost
 coordinate varying fastest, so output is reproducible byte for byte.
+
+Everything derived from a tree comes from one walk from the root
+(`GameTree._derive`; `validate` runs it with its checks on). A set of one
+player's strategies is a Python int with bit i for strategy i, the
+representation the belief kernel uses for opponent combos. The walk carries
+each player's consistent strategies per decision node as such masks. The
+reach sets of an information set are the OR of its nodes' masks, and its
+conditioning event for a player, the opponent combos that allow it, is the
+OR over its nodes of the product of the opponents' masks. The payoff table
+fills its leaf index per decision node on a tensor with one axis per
+information set, and builds its exact numerators on first use.
+
+The records (Leaf, DecisionNode, InfoSet, Strategy) are named tuples:
+immutable, compared by value, and cheap to build, since every parse builds
+one per leaf, node, set and strategy.
 """
 
 import math
-from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
+from itertools import chain, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,30 +51,26 @@ class PerfectRecallViolation(ModelError):
     """An information set pools nodes with different own histories."""
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     name: str
     payoffs: tuple  # Fraction per player, aligned with GameTree.players
 
 
-@dataclass(frozen=True)
-class DecisionNode:
+class DecisionNode(NamedTuple):
     name: str
     owner: str
     actions: tuple  # action labels
     children: tuple  # child node/leaf names, parallel to actions
 
 
-@dataclass(frozen=True)
-class InfoSet:
+class InfoSet(NamedTuple):
     name: str
     owner: str
     nodes: tuple  # decision node names
     actions: tuple
 
 
-@dataclass(frozen=True)
-class Strategy:
+class Strategy(NamedTuple):
     """A full strategy: one action index per information set of the player."""
 
     player: str
@@ -108,15 +120,14 @@ class GameTree:
             raise ModelError("game has no players")
         if len(set(self.players)) != len(self.players):
             raise ModelError("duplicate player names")
-        if self.root not in self.nodes:
+        nodes, leaves = self.nodes, self.leaves
+        if self.root not in nodes:
             raise DanglingNode("root %r is not a decision node" % (self.root,))
-
-        all_names = set(self.nodes) | set(self.leaves)
-        if len(all_names) != len(self.nodes) + len(self.leaves):
+        if not nodes.keys().isdisjoint(leaves):
             raise ModelError("a name is used for both a node and a leaf")
 
-        referenced = {}
-        for node in self.nodes.values():
+        referenced = set()
+        for node in nodes.values():
             if node.owner not in self.players:
                 raise ModelError("node %r owned by unknown player %r" % (node.name, node.owner))
             if not node.actions:
@@ -126,128 +137,125 @@ class GameTree:
             if len(node.actions) != len(node.children):
                 raise ModelError("node %r actions/children mismatch" % (node.name,))
             for child in node.children:
-                if child not in all_names:
+                if child not in nodes and child not in leaves:
                     raise DanglingNode("node %r references unknown child %r" % (node.name, child))
                 if child in referenced:
                     raise DanglingNode("child %r referenced twice" % (child,))
-                referenced[child] = node.name
+                referenced.add(child)
         if self.root in referenced:
             raise DanglingNode("root %r appears as a child" % (self.root,))
-        for name in all_names:
-            if name != self.root and name not in referenced:
-                raise DanglingNode("node %r is unreachable" % (name,))
 
-        for leaf in self.leaves.values():
-            if len(leaf.payoffs) != len(self.players):
-                raise ModelError(
-                    "leaf %r has %d payoffs for %d players"
-                    % (leaf.name, len(leaf.payoffs), len(self.players))
-                )
-
-        seen_nodes = {}
-        for isname in self.infoset_order:
-            h = self.infosets[isname]
-            if h.owner not in self.players:
-                raise MalformedInfoSet("infoset %r owned by unknown player" % (isname,))
-            if not h.nodes:
-                raise MalformedInfoSet("infoset %r is empty" % (isname,))
-            for nn in h.nodes:
-                node = self.nodes.get(nn)
-                if node is None:
-                    raise MalformedInfoSet("infoset %r lists unknown node %r" % (isname, nn))
-                if node.owner != h.owner:
-                    raise MalformedInfoSet(
-                        "infoset %r pools node %r of another player" % (isname, nn)
-                    )
-                if node.actions != h.actions:
-                    raise MalformedInfoSet(
-                        "infoset %r pools nodes with different action lists" % (isname,)
-                    )
-                if nn in seen_nodes:
-                    raise MalformedInfoSet("node %r is in two infosets" % (nn,))
-                seen_nodes[nn] = isname
-        for nn in self.nodes:
-            if nn not in seen_nodes:
-                raise MalformedInfoSet("decision node %r belongs to no infoset" % (nn,))
-
-        self._derived = None
-        d = self._ensure_derived(check_recall=True)
+        # Information sets, reachability, payoff arity and perfect recall are
+        # checked by the derivation itself, on its one pass over each.
+        self._derived = self._derive(check=True)
         return self
 
     # -- derived structure ------------------------------------------------------
 
-    def _ensure_derived(self, check_recall=False):
-        if self._derived is not None and not check_recall:
-            return self._derived
+    def _ensure_derived(self):
+        if self._derived is None:
+            self._derived = self._derive(check=False)
+        return self._derived
 
-        infoset_of_node = {}
+    def _derive(self, check):
+        """Everything read off the tree, from one walk from the root.
+
+        A set of one player's strategies is a Python int whose bit i stands
+        for strategy i. The walk carries, per decision node, each player's
+        strategies consistent with reaching it, one such mask per player;
+        at a decision node the owner's mask is cut by the mask of the
+        strategies that choose each action there. `validate` passes
+        check=True to raise on malformed information sets, unreachable
+        nodes, payoff arity and perfect-recall violations on the way."""
+        players, nodes, infosets = self.players, self.nodes, self.infosets
+
+        infoset_of_node, infoset_pos = {}, {}
+        player_infosets = {p: [] for p in players}
         for isname in self.infoset_order:
-            for nn in self.infosets[isname].nodes:
+            h = infosets[isname]
+            if check:
+                _check_infoset(self, h, infoset_of_node)
+            hs = player_infosets[h.owner]
+            infoset_pos[isname] = len(hs)
+            hs.append(isname)
+            for nn in h.nodes:
                 infoset_of_node[nn] = isname
+        if check and len(infoset_of_node) != len(nodes):
+            nn = next(nn for nn in nodes if nn not in infoset_of_node)
+            raise MalformedInfoSet("decision node %r belongs to no infoset" % (nn,))
 
-        player_infosets = {p: [] for p in self.players}
-        for isname in self.infoset_order:
-            player_infosets[self.infosets[isname].owner].append(isname)
-
-        strategies = {}
-        for p in self.players:
+        # Strategies in product order, rightmost infoset fastest; so the
+        # strategies choosing action a at the owner's infoset at position j
+        # repeat one block of `stride` (the product of the later infosets'
+        # action counts) once per period of `size * stride`.
+        strategies, action_masks = {}, {}
+        for p in players:
             hs = player_infosets[p]
-            strategies[p] = []
-            ranges = [range(len(self.infosets[h].actions)) for h in hs]
-            for idx, choices in enumerate(product(*ranges)):
-                label = ".".join(
-                    self.infosets[h].actions[c] for h, c in zip(hs, choices)
-                ) or "(idle)"
-                strategies[p].append(Strategy(p, tuple(choices), label, idx))
+            labels = [infosets[h].actions for h in hs]
+            strategies[p] = [
+                Strategy(p, choices, ".".join(names) or "(idle)", idx)
+                for idx, (choices, names) in enumerate(
+                    zip(product(*(range(len(a)) for a in labels)), product(*labels))
+                )
+            ]
+            total = len(strategies[p])
+            stride = total
+            for h, acts in zip(hs, labels):
+                period, stride = stride, stride // len(acts)
+                block = ((1 << stride) - 1) * (((1 << total) - 1) // ((1 << period) - 1))
+                action_masks[h] = [block << (a * stride) for a in range(len(acts))]
 
-        infoset_pos = {}
-        for p, hs in player_infosets.items():
-            for k, isname in enumerate(hs):
-                infoset_pos[isname] = k
-
-        # One walk from the root. Per node and leaf: its path, as (decision
-        # node, action index) pairs, and each player's strategy indices
-        # consistent with it (in player order).
+        # The walk. Stack order enters every decision node before the nodes
+        # below it, so `consistent` (decision nodes only) is a preorder.
+        owner_pos = {p: k for k, p in enumerate(players)}
+        leaves, n = self.leaves, len(players)
         paths, consistent = {}, {}
-        stack = [(self.root, (), tuple(range(len(strategies[p])) for p in self.players))]
+        stack = [(self.root, (), tuple((1 << len(strategies[p])) - 1 for p in players))]
         while stack:
             name, path, sets = stack.pop()
             paths[name], consistent[name] = path, sets
-            node = self.nodes.get(name)
-            if node is None:
-                continue
-            k = self.players.index(node.owner)
-            pos = infoset_pos[infoset_of_node[name]]
+            node = nodes[name]
+            k = owner_pos[node.owner]
+            head, mine, tail = sets[:k], sets[k], sets[k + 1:]
+            cuts = action_masks[infoset_of_node[name]]
             for ai, child in enumerate(node.children):
-                mine = [i for i in sets[k] if strategies[node.owner][i].choices[pos] == ai]
-                stack.append((child, path + ((name, ai),), sets[:k] + (mine,) + sets[k + 1:]))
+                if child in nodes:
+                    stack.append((child, path + ((name, ai),), head + (mine & cuts[ai],) + tail))
+                    continue
+                paths[child] = path + ((name, ai),)
+                if check and len(leaves[child].payoffs) != n:
+                    raise ModelError(
+                        "leaf %r has %d payoffs for %d players"
+                        % (child, len(leaves[child].payoffs), n)
+                    )
+        if check and len(paths) != len(nodes) + len(leaves):
+            name = next(nn for nn in chain(nodes, leaves) if nn not in paths)
+            raise DanglingNode("node %r is unreachable" % (name,))
 
-        # Own history of a node: the player's (infoset, action index) pairs
+        # Own history of a node: the owner's (infoset, action index) pairs
         # strictly before it. Perfect recall: constant across an infoset.
-        own_history = {}
+        # Per infoset and player, the strategies reaching some node of it.
+        own_history, reach = {}, {}
         for isname in self.infoset_order:
-            h = self.infosets[isname]
-            seqs = set()
-            for nn in h.nodes:
-                seq = tuple(
-                    (infoset_of_node[step_node], ai)
-                    for step_node, ai in paths[nn]
-                    if self.nodes[step_node].owner == h.owner
+            h = infosets[isname]
+            seqs = [
+                tuple(
+                    (infoset_of_node[step], ai)
+                    for step, ai in paths[nn]
+                    if nodes[step].owner == h.owner
                 )
-                seqs.add(seq)
-            if check_recall and len(seqs) > 1:
+                for nn in (h.nodes if check else h.nodes[:1])
+            ]
+            if check and any(seq != seqs[0] for seq in seqs):
                 raise PerfectRecallViolation(
                     "infoset %r pools nodes with different own histories" % (isname,)
                 )
-            own_history[isname] = next(iter(seqs))
-            if check_recall:
-                for hh, _ai in own_history[isname]:
-                    if hh == isname:
-                        raise PerfectRecallViolation(
-                            "infoset %r occurs twice on one path" % (isname,)
-                        )
+            own_history[isname] = seqs[0]
+            reach[isname] = consistent[h.nodes[0]]
+            for nn in h.nodes[1:]:
+                reach[isname] = tuple(map(int.__or__, reach[isname], consistent[nn]))
 
-        self._derived = {
+        return {
             "infoset_of_node": infoset_of_node,
             "paths": paths,
             "own_history": own_history,
@@ -255,10 +263,10 @@ class GameTree:
             "infoset_pos": infoset_pos,
             "strategies": strategies,
             "consistent": consistent,
+            "reach": reach,
             "reach_cache": {},
             "joint_cache": {},
         }
-        return self._derived
 
     @property
     def player_infosets(self):
@@ -308,34 +316,57 @@ class GameTree:
 
     # -- reachability -------------------------------------------------------------
 
+    def reach_mask(self, player, infoset_name):
+        """The mask of the player's strategies consistent with some node of
+        the infoset (bit i for strategy i)."""
+        return self._ensure_derived()["reach"][infoset_name][self.players.index(player)]
+
     def strategies_reaching(self, player, infoset_name):
         """Strategies of the player consistent with some node of the infoset."""
         d = self._ensure_derived()
         key = (player, infoset_name)
         if key not in d["reach_cache"]:
-            k = self.players.index(player)
-            nodes = self.infosets[infoset_name].nodes
-            keep = set().union(*(d["consistent"][nn][k] for nn in nodes))
-            d["reach_cache"][key] = [s for s in d["strategies"][player] if s.index in keep]
+            ss = d["strategies"][player]
+            d["reach_cache"][key] = [ss[i] for i in bits(self.reach_mask(player, infoset_name))]
         return d["reach_cache"][key]
+
+    def joint_reaching_mask(self, player, infoset_name):
+        """The opponent profiles that allow some node of the infoset to be
+        reached, as a mask over the product of the other players' strategy
+        lists: bit t for the profile whose mixed-radix index is t (the
+        other players in player order, rightmost fastest). Per node that
+        set is the product of the opponents' consistent masks."""
+        d = self._ensure_derived()
+        key = (player, infoset_name)
+        got = d["joint_cache"].get(key)
+        if got is None:
+            k = self.players.index(player)
+            got = 0
+            for nn in self.infosets[infoset_name].nodes:
+                part = 1
+                for j, m in enumerate(d["consistent"][nn]):
+                    if j == k:
+                        continue
+                    if part != 1:
+                        # Every combo t so far becomes the block t * size + i
+                        # for i in m: spread the bits, then one product.
+                        size = len(d["strategies"][self.players[j]])
+                        spread = 0
+                        while part:
+                            low = part & -part
+                            spread |= 1 << ((low.bit_length() - 1) * size)
+                            part ^= low
+                        part = spread
+                    part *= m
+                got |= part
+            d["joint_cache"][key] = got
+        return got
 
     def joint_reaching(self, player, infoset_name):
         """Opponent profiles that allow some node of the infoset to be
         reached, as ascending flat indices into the product of the other
         players' strategy lists (in player order, rightmost fastest)."""
-        d = self._ensure_derived()
-        key = (player, infoset_name)
-        if key not in d["joint_cache"]:
-            opp = [k for k, p in enumerate(self.players) if p != player]
-            parts = []
-            for nn in self.infosets[infoset_name].nodes:
-                flat = [0]
-                for k in opp:
-                    size = len(d["strategies"][self.players[k]])
-                    flat = [f * size + i for f in flat for i in d["consistent"][nn][k]]
-                parts.append(flat)
-            d["joint_cache"][key] = parts[0] if len(parts) == 1 else sorted(set().union(*parts))
-        return d["joint_cache"][key]
+        return bits(self.joint_reaching_mask(player, infoset_name))
 
     def immediate_predecessor(self, infoset_name):
         """The owner's closest preceding infoset, or None."""
@@ -343,27 +374,91 @@ class GameTree:
         return hist[-1][0] if hist else None
 
 
+def _check_infoset(game, h, placed):
+    """The checks of one information set; placed maps each node of the
+    sets before it to its set."""
+    if h.owner not in game.players:
+        raise MalformedInfoSet("infoset %r owned by unknown player" % (h.name,))
+    if not h.nodes:
+        raise MalformedInfoSet("infoset %r is empty" % (h.name,))
+    seen = set()
+    for nn in h.nodes:
+        node = game.nodes.get(nn)
+        if node is None:
+            raise MalformedInfoSet("infoset %r lists unknown node %r" % (h.name, nn))
+        if node.owner != h.owner:
+            raise MalformedInfoSet("infoset %r pools node %r of another player" % (h.name, nn))
+        if node.actions != h.actions:
+            raise MalformedInfoSet(
+                "infoset %r pools nodes with different action lists" % (h.name,)
+            )
+        if nn in placed or nn in seen:
+            raise MalformedInfoSet("node %r is in two infosets" % (nn,))
+        seen.add(nn)
+
+
+def bits(mask):
+    """The indices of a mask's set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class PayoffTable:
     """Exact payoffs of every strategy profile, read off the tree walk.
 
     `leaf_of` holds per profile (one axis per player, in player order) the
-    position in `leaves` of the leaf it reaches: each leaf is scattered over
-    the product of the strategy sets consistent with it. Player k's payoff
-    there is `numerators[k][leaf] / denominators[k]`: Python ints over one
-    common denominator L, the lcm of k's leaf denominators. Python ints,
-    because a fixed-width wrap would flip a sign.
+    position in `leaves` of the leaf it reaches. It is filled as a tensor
+    with one axis per information set (every player's sets in player order,
+    each player's in its own order), whose row-major order is the strategy
+    order: one assignment per decision node, in preorder, writes the node's
+    leaf children along its set's axis at the coordinates of its path, and
+    the nodes below overwrite the other children's cells. Player k's
+    payoff there is `numerators[k][leaf] / denominators[k]`: Python ints
+    over one common denominator L, the lcm of k's leaf denominators, built
+    on first use. Python ints, because a fixed-width wrap would flip a sign.
     """
 
     def __init__(self, game):
         d = game._ensure_derived()
         self.players = game.players
         self.leaves = tuple(game.leaves.values())
-        self.leaf_of = np.empty([len(d["strategies"][p]) for p in self.players], dtype=np.intp)
-        for n, leaf in enumerate(self.leaves):
-            self.leaf_of[np.ix_(*d["consistent"][leaf.name])] = n
-        columns = list(zip(*(leaf.payoffs for leaf in self.leaves)))
-        self.denominators = [math.lcm(*(v.denominator for v in col)) for col in columns]
-        self.numerators = [
+        axis, sizes = {}, []
+        for p in game.players:
+            for h in d["player_infosets"][p]:
+                axis[h] = len(sizes)
+                sizes.append(len(game.infosets[h].actions))
+        position = {leaf.name: n for n, leaf in enumerate(self.leaves)}
+        of_node = d["infoset_of_node"]
+        table = np.empty(sizes, dtype=np.intp)
+        free = slice(None)
+        for name in d["consistent"]:  # the decision nodes in preorder
+            index = [free] * len(sizes)
+            for step, ai in d["paths"][name]:
+                index[axis[of_node[step]]] = ai
+            x = axis[of_node[name]]
+            # A node child's cells get 0 here and its own values later.
+            values = [position.get(child, 0) for child in game.nodes[name].children]
+            # Shape (actions, 1, ...) to broadcast along the free axes after x.
+            for _ in range(index[x + 1:].count(free)):
+                values = [[v] for v in values]
+            table[tuple(index)] = values
+        self.leaf_of = table.reshape([len(d["strategies"][p]) for p in game.players])
+
+    @cached_property
+    def denominators(self):
+        return [
+            math.lcm(*(leaf.payoffs[k].denominator for leaf in self.leaves))
+            for k in range(len(self.players))
+        ]
+
+    @cached_property
+    def numerators(self):
+        columns = zip(*(leaf.payoffs for leaf in self.leaves))
+        return [
             [v.numerator * (L // v.denominator) for v in col]
             for col, L in zip(columns, self.denominators)
         ]
@@ -372,7 +467,8 @@ class PayoffTable:
         """Leaf positions per (own strategy of player k, opponent combo),
         the combos in canonical order (the other players in player order,
         rightmost fastest)."""
-        return np.moveaxis(self.leaf_of, k, 0).reshape(self.leaf_of.shape[k], -1)
+        order = [k] + [j for j in range(len(self.players)) if j != k]
+        return self.leaf_of.transpose(order).reshape(self.leaf_of.shape[k], -1)
 
     def rows(self, player):
         """The player's numerators as one list per own strategy, over the

@@ -110,7 +110,7 @@ def oracle_cps_search(
                 for coefs, op, rhs in clause_rows
             ):
                 continue
-            if si in sp.reach[h] and not _locally_best(sp, h, row, si):
+            if si in sp.alts[h] and not _locally_best(sp, h, row, si):
                 continue
             ok.append(row)
         if not ok:
@@ -159,7 +159,7 @@ def _chain(big, small, small_event):
 def _locally_best(space, infoset, row, si):
     u = space.numerators  # one denominator for all, so sums compare as payoffs
     mine = sum((w * u[si][t] for t, w in row.items()), ZERO)
-    for alt in space.reach[infoset]:
+    for alt in space.alts[infoset]:
         if alt == si:
             continue
         if sum((w * u[alt][t] for t, w in row.items()), ZERO) > mine:

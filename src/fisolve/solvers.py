@@ -124,46 +124,55 @@ class SolveTrace:
         )
 
 
-def _add_round(tower, game, player, q, survivors, correlated, prefix=""):
+def _add_round(tower, game, player, q, survivors, before, correlated, prefix=""):
     """Append to tower (obligation key -> item) strong belief in round q's
     survivors: one item per opponent, or one joint item over their product
     when correlated. A full strategy set is a vacuous target and is skipped;
-    a key already in the tower keeps its first item."""
+    a key already in the tower keeps its first item. `before` is round
+    q-1's profile set (None for q = 0), whose items the tower already
+    holds: an opponent whose set has not changed since then would give a
+    key already there, so no item is built for it (no joint item, when
+    correlated, unless some set changed)."""
     targets = {
         j: survivors.strategies(j)
         for j in game.players
         if j != player and len(survivors.strategies(j)) < len(game.strategies(j))
     }
+    changed = [j for j, ts in targets.items() if before is None or ts != before.strategies(j)]
     if correlated:
-        if not targets:
+        if not changed:
             return
         label = "%sround-%d survivors (joint)" % (prefix, q)
         items = [beliefs.joint_strong_belief_mandate(game, player, label, targets)]
     else:
         items = [
             beliefs.strong_belief_mandate(
-                game, player, "%sround-%d survivors of %s" % (prefix, q, j), j, ts
+                game, player, "%sround-%d survivors of %s" % (prefix, q, j), j, targets[j]
             )
-            for j, ts in targets.items()
+            for j in changed
         ]
     for item in items:
         tower.setdefault(item.key(), item)
 
 
+def _tower(game, player, rounds, correlated, prefix=""):
+    """Strong belief in each of the rounds' survivors, from round 0 up."""
+    tower = {}
+    before = None
+    for q, survivors in enumerate(rounds):
+        _add_round(tower, game, player, q, survivors, before, correlated, prefix)
+        before = survivors
+    return list(tower.values())
+
+
 def _round_mandates(game, player, history, correlated):
     """G2: strong belief in each round's survivors, history from round 0 up."""
-    tower = {}
-    for q, survivors in enumerate(history):
-        _add_round(tower, game, player, q, survivors, correlated)
-    return list(tower.values())
+    return _tower(game, player, history, correlated)
 
 
 def _gate_mandates(game, player, gate_rounds, correlated):
     """The gate: strong belief in each round of the base run, labeled "base"."""
-    tower = {}
-    for q, survivors in enumerate(gate_rounds or ()):
-        _add_round(tower, game, player, q, survivors, correlated, "base ")
-    return list(tower.values())
+    return _tower(game, player, gate_rounds or (), correlated, "base ")
 
 
 def generalized_solve(spec):
@@ -183,19 +192,21 @@ def generalized_solve(spec):
     limit = 1 + sum(len(game.strategies(p)) for p in game.players)
     for n in range(1, limit + 1):
         prev = trace.rounds[-1]
+        before = trace.rounds[-2] if n > 1 else None
         new_sets = {}
         elim = {}
         trace.mandates[n] = {}
         for player in game.players:
-            _add_round(towers[player], game, player, n - 1, prev, spec.correlated)
+            _add_round(towers[player], game, player, n - 1, prev, before, spec.correlated)
             mandates = list(towers[player].values()) + gate[player]
             trace.mandates[n][player] = mandates
+            keys = frozenset(it.key() for it in mandates)
             keep = []
             strategies = game.strategies(player)
             for s in prev.strategies(player):
                 rep = strategies[plans[player][s.index]]
                 try:
-                    witness = _query(memo, game, player, rep, mandates, restrictions)
+                    witness = _query(memo, game, player, rep, mandates, keys, restrictions)
                 except beliefs.EmptyPolytope as exc:
                     # The player's first failed query; no witness can exist.
                     trace.notes.append(
@@ -210,7 +221,7 @@ def generalized_solve(spec):
                 if witness is None:
                     if spec.explain:
                         elim[(player, s.name)] = _explain(
-                            memo, game, player, rep, mandates, restrictions
+                            memo, game, player, rep, mandates, keys, restrictions
                         )
                     else:
                         elim[(player, s.name)] = "no admissible belief system"
@@ -230,20 +241,16 @@ def generalized_solve(spec):
     return trace
 
 
-def _query(memo, game, player, strategy, mandates, restrictions):
+def _query(memo, game, player, strategy, mandates, keys, restrictions):
     """One admissibility decision, asked at most once per solve.
 
     The caller passes a plan's representative, so the strategy index names
-    the plan. The answer depends on the mandates only through their set of
-    keys, and within one solve the restrictions are either the spec's or
-    None (asked by _explain), so those make the memo key.
+    the plan, and the mandates' set of keys, built once per list. The
+    answer depends on the mandates only through that set, and within one
+    solve the restrictions are either the spec's or None (asked by
+    _explain), so those make the memo key.
     """
-    key = (
-        player,
-        strategy.index,
-        frozenset(it.key() for it in mandates),
-        restrictions is None,
-    )
+    key = (player, strategy.index, keys, restrictions is None)
     if key in memo:
         return memo[key]
     if isinstance(restrictions, ImplicitRestrictions):
@@ -265,18 +272,19 @@ def _query(memo, game, player, strategy, mandates, restrictions):
     return witness
 
 
-def _explain(memo, game, player, strategy, mandates, restrictions):
+def _explain(memo, game, player, strategy, mandates, keys, restrictions):
     """Name an obligation whose removal restores feasibility, if one exists."""
     for k in range(len(mandates)):
         rest = mandates[:k] + mandates[k + 1 :]
-        if _query(memo, game, player, strategy, rest, restrictions) is not None:
+        rest_keys = frozenset(it.key() for it in rest)
+        if _query(memo, game, player, strategy, rest, rest_keys, restrictions) is not None:
             return "blocked by obligation: %s" % mandates[k].label
     if restrictions is not None:
-        if _query(memo, game, player, strategy, mandates, None) is not None:
+        if _query(memo, game, player, strategy, mandates, keys, None) is not None:
             if isinstance(restrictions, ImplicitRestrictions):
                 return "blocked by the restriction closure"
             return "blocked by the belief restrictions"
-    if _query(memo, game, player, strategy, (), None) is None:
+    if _query(memo, game, player, strategy, (), frozenset(), None) is None:
         return "no belief system makes this strategy sequentially optimal"
     return "jointly blocked by the obligations and restrictions"
 

@@ -408,6 +408,20 @@ def test_bad_game_text_exits_two(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_node_listed_twice_exits_two(capsys, tmp_path):
+    bad = tmp_path / "twice.game"
+    bad.write_text(
+        "game twice\nplayers A B\ntree\n  node r owner A\n"
+        "    x -> node m1 owner B\n      c -> leaf (0, 0)\n      d -> leaf (1, 0)\n"
+        "    y -> node m2 owner B\n      c -> leaf (0, 1)\n      d -> leaf (2, 0)\n"
+        "infosets\n  h: B { m1 m1 m2 }\n"
+    )
+    code, out, err = run(capsys, "--game", str(bad), "--procedure", "rationalizability")
+    assert code == 2
+    assert out == ""
+    assert "line 12: infoset 'h' lists node 'm1' twice" in err
+
+
 def test_unsupported_belief_structure_exits_three(capsys, tmp_path):
     # Ann's third infoset conditions on an event with two incomparable
     # strict supersets, which the surprise-order engine refuses.

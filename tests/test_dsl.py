@@ -273,3 +273,24 @@ def test_to_json_matches_json_dumps(doc):
 def test_to_json_refuses_other_types(doc):
     with pytest.raises(TypeError):
         dsl.to_json(doc)
+
+
+@pytest.mark.parametrize(
+    "members, line, message",
+    [
+        ("h: B { b1 b1 b2 }", 12, "infoset 'h' lists node 'b1' twice"),
+        ("h: B { b1 b2 }\n  k: B { b2 }", 13, "node 'b2' is in infosets 'h' and 'k'"),
+    ],
+    ids=["one infoset", "two infosets"],
+)
+def test_node_listed_twice_reported_at_its_line(members, line, message):
+    text = (
+        "game g\nplayers A B\ntree\n  node root owner A\n"
+        "    l -> node b1 owner B\n      x -> leaf (1, 0)\n      y -> leaf (0, 1)\n"
+        "    r -> node b2 owner B\n      x -> leaf (0, 1)\n      y -> leaf (1, 0)\n"
+        "infosets\n  %s\n" % members
+    )
+    with pytest.raises(dsl.DslSyntaxError) as exc:
+        dsl.parse_game(text)
+    assert exc.value.line == line
+    assert str(exc.value) == "line %d: %s" % (line, message)

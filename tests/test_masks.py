@@ -46,9 +46,9 @@ class RefBundle:
         sp = self.space
         u = sp.numerators
         for h in sp.infosets:
-            if s not in sp.reach[h]:
+            if s not in sp.alts[h]:
                 continue
-            for alt in sorted(sp.reach[h]):
+            for alt in sp.alts[h]:
                 if alt != s:
                     diff = {t: u[s][t] - u[alt][t] for t in sp.event[h] if u[s][t] != u[alt][t]}
                     self.rationality.setdefault(sp.group_of[h], []).append(diff)

@@ -18,6 +18,7 @@ from fisolve.model import (
     InfoSet,
     Leaf,
     MalformedInfoSet,
+    ModelError,
     PerfectRecallViolation,
     ProfileSet,
     compatible_infosets,
@@ -233,3 +234,182 @@ def test_plans_group_realization_equivalent_strategies(bribe, cleo):
             for s in ss:
                 same = [t.index for t in ss if reached[t.index] == reached[s.index]]
                 assert plans[s.index] == min(same)
+
+
+# -- validate(): one case per error ---------------------------------------------
+
+
+def _base_tree():
+    """A valid two-player tree: A moves at r (x to B's m, y to a leaf), then
+    B at m. Each case below edits one part of it."""
+    nodes = {
+        "r": DecisionNode("r", "A", ("x", "y"), ("m", "L1")),
+        "m": DecisionNode("m", "B", ("c", "d"), ("L2", "L3")),
+    }
+    leaves = {
+        n: Leaf(n, (Fraction(k), Fraction(0))) for k, n in enumerate(("L1", "L2", "L3"))
+    }
+    infosets = {
+        "hr": InfoSet("hr", "A", ("r",), ("x", "y")),
+        "hm": InfoSet("hm", "B", ("m",), ("c", "d")),
+    }
+    return {"players": ("A", "B"), "root": "r", "nodes": nodes, "leaves": leaves,
+            "infosets": infosets, "order": ["hr", "hm"]}
+
+
+def _node(t, name, **kw):
+    n = t["nodes"][name]
+    fields = {"name": n.name, "owner": n.owner, "actions": n.actions, "children": n.children}
+    t["nodes"][name] = DecisionNode(**dict(fields, **kw))
+
+
+def _cycle(t):
+    # a and b reference each other: every name but the root is referenced
+    # once, yet neither is reachable from the root.
+    for name, child in (("a", "b"), ("b", "a")):
+        t["nodes"][name] = DecisionNode(name, "A", ("z",), (child,))
+        t["infosets"][name] = InfoSet(name, "A", (name,), ("z",))
+        t["order"].append(name)
+
+
+def _recall_tree(t):
+    # A forgets at the pooled set {p, q} whether it chose x or y at r.
+    t["nodes"] = {
+        "r": DecisionNode("r", "A", ("x", "y"), ("p", "q")),
+        "p": DecisionNode("p", "A", ("c", "d"), ("L1", "L2")),
+        "q": DecisionNode("q", "A", ("c", "d"), ("L3", "L4")),
+    }
+    t["leaves"]["L4"] = Leaf("L4", (Fraction(0), Fraction(0)))
+    t["infosets"] = {
+        "hr": InfoSet("hr", "A", ("r",), ("x", "y")),
+        "hpq": InfoSet("hpq", "A", ("p", "q"), ("c", "d")),
+    }
+    t["order"] = ["hr", "hpq"]
+
+
+VALIDATE_CASES = [
+    ("no players", lambda t: t.update(players=()), ModelError, "game has no players"),
+    ("duplicate players", lambda t: t.update(players=("A", "A")),
+     ModelError, "duplicate player names"),
+    ("root not a node", lambda t: t.update(root="L1"),
+     DanglingNode, "root 'L1' is not a decision node"),
+    ("node and leaf share a name",
+     lambda t: t["leaves"].update(m=Leaf("m", (Fraction(0), Fraction(0)))),
+     ModelError, "a name is used for both a node and a leaf"),
+    ("unknown owner", lambda t: _node(t, "m", owner="C"),
+     ModelError, "node 'm' owned by unknown player 'C'"),
+    ("no actions", lambda t: _node(t, "m", actions=(), children=()),
+     MalformedInfoSet, "node 'm' has no actions"),
+    ("repeated action", lambda t: _node(t, "m", actions=("c", "c")),
+     MalformedInfoSet, "node 'm' repeats an action label"),
+    ("actions and children differ", lambda t: _node(t, "m", children=("L2",)),
+     ModelError, "node 'm' actions/children mismatch"),
+    ("dangling child", lambda t: _node(t, "m", children=("L2", "nowhere")),
+     DanglingNode, "node 'm' references unknown child 'nowhere'"),
+    ("child referenced twice", lambda t: _node(t, "m", children=("L2", "L2")),
+     DanglingNode, "child 'L2' referenced twice"),
+    ("unreachable leaf",
+     lambda t: t["leaves"].update(L9=Leaf("L9", (Fraction(0), Fraction(0)))),
+     DanglingNode, "node 'L9' is unreachable"),
+    ("root as a child", lambda t: _node(t, "m", children=("L2", "r")),
+     DanglingNode, "root 'r' appears as a child"),
+    ("cycle off the root", _cycle, DanglingNode, "node 'a' is unreachable"),
+    ("payoff arity", lambda t: t["leaves"].update(L2=Leaf("L2", (Fraction(1),))),
+     ModelError, "leaf 'L2' has 1 payoffs for 2 players"),
+    ("infoset of an unknown player",
+     lambda t: t["infosets"].update(hm=InfoSet("hm", "C", ("m",), ("c", "d"))),
+     MalformedInfoSet, "infoset 'hm' owned by unknown player"),
+    ("empty infoset", lambda t: t["infosets"].update(hm=InfoSet("hm", "B", (), ("c", "d"))),
+     MalformedInfoSet, "infoset 'hm' is empty"),
+    ("infoset lists an unknown node",
+     lambda t: t["infosets"].update(hm=InfoSet("hm", "B", ("m", "zz"), ("c", "d"))),
+     MalformedInfoSet, "infoset 'hm' lists unknown node 'zz'"),
+    ("infoset pools another player's node",
+     lambda t: t["infosets"].update(hm=InfoSet("hm", "A", ("m",), ("c", "d"))),
+     MalformedInfoSet, "infoset 'hm' pools node 'm' of another player"),
+    ("infoset action list differs",
+     lambda t: t["infosets"].update(hm=InfoSet("hm", "B", ("m",), ("c", "e"))),
+     MalformedInfoSet, "infoset 'hm' pools nodes with different action lists"),
+    ("node listed twice in one infoset",
+     lambda t: t["infosets"].update(hm=InfoSet("hm", "B", ("m", "m"), ("c", "d"))),
+     MalformedInfoSet, "node 'm' is in two infosets"),
+    ("node in two infosets",
+     lambda t: (t["infosets"].update(h2=InfoSet("h2", "B", ("m",), ("c", "d"))),
+                t["order"].append("h2")),
+     MalformedInfoSet, "node 'm' is in two infosets"),
+    ("node in no infoset", lambda t: (t["infosets"].pop("hm"), t["order"].remove("hm")),
+     MalformedInfoSet, "decision node 'm' belongs to no infoset"),
+    ("recall violation", _recall_tree,
+     PerfectRecallViolation, "infoset 'hpq' pools nodes with different own histories"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, error, message", [c[1:] for c in VALIDATE_CASES], ids=[c[0] for c in VALIDATE_CASES]
+)
+def test_validate_rejects(edit, error, message):
+    t = _base_tree()
+    GameTree("ok", t["players"], t["root"], t["nodes"], t["leaves"], t["infosets"],
+             t["order"]).validate()
+    edit(t)
+    game = GameTree("bad", t["players"], t["root"], t["nodes"], t["leaves"], t["infosets"],
+                    t["order"])
+    with pytest.raises(ModelError) as exc:
+        game.validate()
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+# -- reach sets against a walk of every profile ------------------------------------
+
+
+def _profile_walk_reach(game):
+    """For every infoset h and player p: the strategies of p, and the
+    opponent combos (flat index, the other players in player order,
+    rightmost fastest), that occur in some full profile whose play passes
+    through a node of h. Plain walks from the root, one per profile."""
+    pos = {h: game.player_infosets[game.infosets[h].owner].index(h) for h in game.infosets}
+    of_node = {nn: h for h, info in game.infosets.items() for nn in info.nodes}
+    own = {h: {p: set() for p in game.players} for h in game.infosets}
+    joint = {h: {p: set() for p in game.players} for h in game.infosets}
+    sizes = [len(game.strategies(p)) for p in game.players]
+    for profile in product(*(game.strategies(p) for p in game.players)):
+        flat = {}
+        for k, p in enumerate(game.players):
+            t = 0
+            for j, s in enumerate(profile):
+                if j != k:
+                    t = t * sizes[j] + s.index
+            flat[p] = t
+        by_player = {s.player: s for s in profile}
+        cur = game.root
+        while cur in game.nodes:
+            h = of_node[cur]
+            for k, p in enumerate(game.players):
+                own[h][p].add(profile[k].index)
+                joint[h][p].add(flat[p])
+            node = game.nodes[cur]
+            cur = node.children[by_player[node.owner].choices[pos[h]]]
+    return own, joint
+
+
+def test_reach_sets_match_a_profile_walk():
+    """strategies_reaching, joint_reaching and the belief space's event
+    masks and alternatives, against the walk of every profile, over random
+    games of 2 and 3 players in each generator shape."""
+    shapes = {"n0": "tree", "br": "block", "root": "block-tree"}
+    seen = set()
+    for seed in range(40):
+        game = randgen.random_game(seed, max_strategies=6)
+        seen.add((len(game.players), shapes[game.root]))
+        own, joint = _profile_walk_reach(game)
+        for h in game.infoset_order:
+            for p in game.players:
+                assert [s.index for s in game.strategies_reaching(p, h)] == sorted(own[h][p])
+                assert game.joint_reaching(p, h) == sorted(joint[h][p])
+        for p in game.players:
+            sp = beliefs.space_for(game, p)
+            for h in game.player_infosets[p]:
+                assert sp.event_mask[h] == sum(1 << t for t in joint[h][p])
+                assert sp.alts[h] == tuple(sorted(own[h][p]))
+    assert seen == {(n, shape) for n in (2, 3) for shape in shapes.values()}
