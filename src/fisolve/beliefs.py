@@ -1068,10 +1068,13 @@ def _verify(sp, bundles, shared, systems):
                 raise AssertionError("agreement violated at %s" % h)
 
 
-def exists_admissible_cps(game, player, strategy, mandates=(), restrictions=None):
+def exists_admissible_cps(
+    game, player, strategy, mandates=(), restrictions=None, keys=None
+):
     """Witness CPS under which the strategy is a sequential best reply, all
     mandates hold, and every conditional satisfies the restriction clauses.
-    Returns None when no such system exists.
+    Returns None when no such system exists. `keys` is the mandates' set of
+    keys when the caller already holds it; it is built here otherwise.
 
     Raises EmptyPolytope when some infoset's clauses alone are unsatisfiable;
     that is a property of the restrictions, not of the strategy.
@@ -1086,7 +1089,9 @@ def exists_admissible_cps(game, player, strategy, mandates=(), restrictions=None
         bundle.add_clauses(clauses)
         return _Query(sp, [bundle])
 
-    query = _prepared(sp, (frozenset(it.key() for it in mandates), ckey), build)
+    if keys is None:
+        keys = frozenset(it.key() for it in mandates)
+    query = _prepared(sp, (keys, ckey), build)
     found = _admissible(query, strategy.index)
     if found is None:
         _raise_if_empty(sp, clauses, ckey)

@@ -266,7 +266,7 @@ def _query(memo, game, player, strategy, mandates, keys, restrictions):
         witness = None if pair is None else pair[0]
     else:
         witness = beliefs.exists_admissible_cps(
-            game, player, strategy, mandates, restrictions
+            game, player, strategy, mandates, restrictions, keys=keys
         )
     memo[key] = witness
     return witness

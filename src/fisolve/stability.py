@@ -2,9 +2,10 @@
 
 This module works on the normal form induced by a game tree, in floating
 point: the profiles of interest involve irrational weights, so the exact
-rational regime of the solver modules does not apply here. Tolerances are
-explicit arguments with conservative defaults (1e-9 for equilibrium checks,
-1e-12 for arithmetic identities).
+rational regime of the solver modules does not apply here. The equilibrium
+checks take their tolerance as an argument (1e-9 by default); the other
+tolerances are module constants, such as _WEIGHT_TOL (1e-12) for a mix's
+weights and _RESIDUAL_TOL (1e-10) for a root.
 
 A perturbation substitutes every pure strategy with a mixture that trembles
 onto a fixed completely mixed profile. On the payoff tensors that is one
@@ -18,13 +19,13 @@ indifference and feasibility conditions. Payoffs are multilinear in the
 mixes, so the conditions' Jacobian is read off the payoff tensors rather
 than built by finite differences, and a start that already solves the
 conditions exactly (a strict pure equilibrium, say) is accepted without
-calling the solver. The solver is MINPACK's Levenberg-Marquardt: support
-systems are often rank-deficient (an opponent's pure strategy can make a
-player's indifference rows constant), and there it takes the Gauss-Newton
-step, while trf scales every step to its trust radius and converges only
-linearly. scipy.optimize is imported on the first root find, not with this
-module: loading it takes most of `import fisolve`, and solver, oracle and
-CLI solve runs never need it.
+calling the solver. The solver, `least_squares`, is a Levenberg-Marquardt
+written with numpy alone: each step comes from the SVD of the Jacobian,
+with singular values below rank tolerance dropped. Support systems are
+often rank-deficient (an opponent's pure strategy can make a player's
+indifference rows constant), and there its undamped step is the
+minimum-norm Gauss-Newton step, which a trust-region method that scales
+every step to its radius never takes.
 
 Scenario files (JSON) bundle named profiles, perturbation families, and a
 list of checks; weights may be strings like "1 - 1/sqrt(2)" which are
@@ -32,6 +33,7 @@ evaluated with a tiny arithmetic interpreter.
 """
 
 import ast
+import collections
 import itertools
 import json
 import math
@@ -48,6 +50,10 @@ _SUPPORT_CAP = 3
 _NASH_TOL = 1e-9
 # How far a MixedStrategy's weights may stray below 0 or their sum from 1.
 _WEIGHT_TOL = 1e-12
+# least_squares stops on a relative decrease or a relative step this small.
+_LM_TOL = 1e-14
+
+_Fit = collections.namedtuple("_Fit", "x nfev")
 
 
 class StabilityError(Exception):
@@ -498,22 +504,57 @@ def _support_system(nf, supports):
     return residual, jacobian
 
 
-def least_squares(*args, **kwargs):
-    """`scipy.optimize.least_squares`, imported when first called (see the
-    module docstring). Callers and tests reach the root finder through this
-    module-level name."""
-    from scipy.optimize import least_squares as solve
+def least_squares(fun, x0, jac):
+    """Levenberg-Marquardt from x0 on the residual `fun` with Jacobian
+    `jac`; returns the last accepted point as `.x` and the number of
+    residual evaluations as `.nfev`. A start with a zero residual is
+    returned after one evaluation, with no Jacobian.
 
-    return solve(*args, **kwargs)
+    Each step d minimises |J d + r|^2 + lam |d|^2, read off the SVD of J:
+    d = -V diag(s / (s^2 + lam)) U^T r over the singular values above
+    numpy's rank tolerance, so at lam = 0 it is the minimum-norm
+    Gauss-Newton step even where J is rank-deficient. lam starts at 0. A
+    step that does not lower the sum of squares is rejected and lam grows
+    tenfold (to at least 1e-3 s_max^2); an accepted step divides it by
+    ten. The search stops at a zero residual, when an accepted step lowers
+    the sum of squares by at most _LM_TOL of it, when a step is at most
+    _LM_TOL relative to x, when J is zero, or after 100 (n + 1) residual
+    evaluations, MINPACK's default budget."""
+    x = np.asarray(x0, dtype=float)
+    r = fun(x)
+    nfev, cost, lam = 1, float(r @ r), 0.0
+    step = None
+    while cost > 0.0 and nfev < 100 * (len(x) + 1):
+        if step is None:
+            u, s, vt = np.linalg.svd(jac(x), full_matrices=False)
+            keep = s > s[0] * max(len(r), len(x)) * np.finfo(float).eps
+            if not keep.any():
+                break
+            step = s[keep], u[:, keep].T @ r, vt[keep].T
+        s, g, v = step
+        d = v @ (s / (s * s + lam) * g)
+        trial = x - d
+        r_trial = fun(trial)
+        nfev += 1
+        trial_cost = float(r_trial @ r_trial)
+        tiny = np.linalg.norm(d) <= _LM_TOL * (_LM_TOL + np.linalg.norm(x))
+        if trial_cost < cost:
+            stalled = cost - trial_cost <= _LM_TOL * cost
+            x, r, cost, lam, step = trial, r_trial, trial_cost, lam / 10.0, None
+            if stalled:
+                break
+        else:
+            lam = max(10.0 * lam, 1e-3 * s[0] ** 2)
+        if tiny:
+            break
+    return _Fit(x, nfev)
 
 
 def _solve_support(nf, supports, target_vecs, tol):
     """Root find the support conditions from the target's weights on the
     supports, renormalised (uniform where the target puts no mass). A start
-    whose residual is exactly zero is the root: least_squares would stop
-    there on gtol before its first step. Levenberg-Marquardt needs at least
-    as many rows as unknowns, and a player with s support strategies out of
-    n gives n + s rows for s weights."""
+    whose residual is exactly zero is the root, taken without calling
+    least_squares, which would return it unchanged."""
     nplayers = len(nf.players)
     residual, jacobian = _support_system(nf, supports)
     start = []
@@ -527,10 +568,7 @@ def _solve_support(nf, supports, target_vecs, tol):
         start.extend(w)
     x = np.asarray(start)
     if np.any(residual(x)):
-        x = least_squares(
-            residual, x, jac=jacobian, method="lm",
-            xtol=1e-14, ftol=1e-14, gtol=1e-14,
-        ).x
+        x = least_squares(residual, x, jacobian).x
         if float(np.max(np.abs(residual(x)))) > _RESIDUAL_TOL:
             return None
     vecs = []

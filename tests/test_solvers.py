@@ -317,14 +317,15 @@ def test_no_query_is_asked_twice(bribe, bribe_delta, monkeypatch):
     asked = []
     query = beliefs.exists_admissible_cps
 
-    def recording(game, player, strategy, mandates=(), restrictions=None):
+    def recording(game, player, strategy, mandates=(), restrictions=None, keys=None):
+        assert keys == frozenset(it.key() for it in mandates)
         asked.append((
             player,
             game.payoff_table().plans(player)[strategy.index],
-            frozenset(it.key() for it in mandates),
+            keys,
             restrictions is None,
         ))
-        return query(game, player, strategy, mandates, restrictions)
+        return query(game, player, strategy, mandates, restrictions, keys=keys)
 
     monkeypatch.setattr(beliefs, "exists_admissible_cps", recording)
     for solve in (
@@ -347,9 +348,9 @@ def test_trace_records_the_queried_mandates(cleo, cleo_nw, cleo_base, monkeypatc
     asked = set()
     query = beliefs.exists_admissible_cps
 
-    def recording(game, player, strategy, mandates=(), restrictions=None):
+    def recording(game, player, strategy, mandates=(), restrictions=None, keys=None):
         asked.add((player, frozenset(it.key() for it in mandates)))
-        return query(game, player, strategy, mandates, restrictions)
+        return query(game, player, strategy, mandates, restrictions, keys=keys)
 
     monkeypatch.setattr(beliefs, "exists_admissible_cps", recording)
     three = randgen.random_game(36, max_strategies=6)

@@ -544,9 +544,8 @@ def test_support_jacobian_matches_central_differences(nf, data):
 def test_exact_start_makes_no_least_squares_call(monkeypatch):
     """A strict pure equilibrium as the target solves its own support with
     residual exactly 0, so the search accepts it without least_squares.
-    From that start least_squares, by lm or trf, with the analytic or the
-    finite-difference Jacobian, returns the start itself, so the profile is
-    the same."""
+    From that start least_squares returns the start itself after one
+    residual evaluation and no Jacobian, so the profile is the same."""
     game = _simultaneous_game([2, 2], [(3, 3), (0, 5), (5, 0), (1, 1)])
     pert = perturb_game(game, PerturbationSpec(uniform_tremble(game), 1e-3))
     target = {"P1": mix(game, "P1", {"a1": 1}), "P2": mix(game, "P2", {"b1": 1})}
@@ -566,8 +565,73 @@ def test_exact_start_makes_no_least_squares_call(monkeypatch):
     residual, jacobian = stability._support_system(pert, ((1,), (1,)))
     start = np.ones(2)
     assert not np.any(residual(start))
-    for method, jac in itertools.product(("lm", "trf"), (jacobian, "2-point")):
-        sol = real(
-            residual, start, jac=jac, method=method, xtol=1e-14, ftol=1e-14, gtol=1e-14
-        )
-        assert np.array_equal(sol.x, start)
+    jacobians = []
+
+    def counted_jacobian(z):
+        jacobians.append(1)
+        return jacobian(z)
+
+    sol = real(residual, start, counted_jacobian)
+    assert np.array_equal(sol.x, start)
+    assert sol.nfev == 1
+    assert jacobians == []
+
+
+def test_least_squares_stops_within_its_budget():
+    """exp(-x) has no root. Each Gauss-Newton step adds 1 to x and lowers
+    the residual by the factor e, so only the budget of 100 (n + 1) residual
+    evaluations stops the search, long before the residual underflows."""
+    sol = stability.least_squares(
+        lambda x: np.exp(-x), np.zeros(2), lambda x: -np.diag(np.exp(-x))
+    )
+    assert sol.nfev == 300
+    assert np.allclose(sol.x, 299.0)
+
+
+def test_least_squares_damps_an_overshooting_step():
+    """From x = 2 the Gauss-Newton step on arctan lands near -3.5, where the
+    residual is larger. That step is rejected and lam grows until a step
+    lowers the residual, so the search still reaches the root at 0."""
+    sol = stability.least_squares(
+        np.arctan, np.array([2.0]), lambda x: np.diag(1 / (1 + x * x))
+    )
+    assert abs(sol.x[0]) < 1e-12
+    assert sol.nfev < 50
+
+
+def _lab_game(game_id):
+    game = randgen.random_game(game_id, max_strategies=4)
+    return perturb_game(game, PerturbationSpec(uniform_tremble(game), 1e-3))
+
+
+def test_least_squares_agrees_with_scipy_lm():
+    """On every support system of at most two strategies per player of a few
+    trembled random games, from seeded Dirichlet starts, least_squares
+    reaches the root tolerance exactly where scipy's MINPACK
+    Levenberg-Marquardt does. scipy is a test dependency only."""
+    from scipy.optimize import least_squares as minpack
+
+    roots = systems = 0
+    for game_id in (2, 6, 9, 10, 13):
+        nf = _lab_game(game_id)
+        rng = np.random.default_rng(game_id)
+        per_player = [
+            [c for size in (1, 2) for c in itertools.combinations(range(n), size)]
+            for n in nf.shape
+        ]
+        for combo in itertools.product(*per_player):
+            residual, jacobian = stability._support_system(nf, combo)
+            start = np.concatenate([rng.dirichlet(np.ones(len(s))) for s in combo])
+            ours = stability.least_squares(residual, start, jacobian).x
+            theirs = minpack(
+                residual, start, jac=jacobian, method="lm",
+                xtol=1e-14, ftol=1e-14, gtol=1e-14,
+            ).x
+            hits = [
+                float(np.max(np.abs(residual(x)))) <= stability._RESIDUAL_TOL
+                for x in (ours, theirs)
+            ]
+            assert hits[0] == hits[1], (game_id, combo, start)
+            systems += 1
+            roots += hits[0]
+    assert systems > 200 and roots >= 5
