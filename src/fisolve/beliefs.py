@@ -37,20 +37,23 @@ masks. A space is built from masks alone: its events come from the game's
 walk (`GameTree.joint_reaching_mask`), its event groups are the distinct
 event masks, its inclusion forest is mask containment, and its
 alternatives per infoset are the bits of the game's own reach masks. The
-index sets of events (`BeliefSpace.event`, `_Group.csorted`) and the combo
-tuples are spelled out on first use, by clauses, pattern LPs and checks.
+pattern LPs take their columns from masks too: one live mask per block.
+The index sets of events (`BeliefSpace.event`) and the combo tuples are
+spelled out on first use, by clauses, the oracle and the validity checks.
 The space holds each player's sign masks from one exact comparison pass
 over the payoff table: `lt(s, a)` has bit t set iff u(s, t) < u(a, t).
 A rationality row of strategy s against alternative a at infoset h is then
 `lt(s, a) & event(h)`, the combos where the row is negative; a group is
 dominated when some row covers its allowed set, and its good points are the
-allowed, clause-good combos outside every row. The part of a query that no
-strategy changes (allowed masks, clause rows, clause-good masks, the point
-order and each group's first point) is prepared once per obligation set and
-restrictions and cached on the space, so every strategy of a round and every
-re-query that names an elimination's reason reuses it. The LP rows of a
-strategy (integer payoff differences) are built only when its pattern LPs
-run.
+allowed, clause-good combos outside every row. A query is prepared once
+per obligation set and restrictions and cached on the space (`_Query`):
+one bundle of obligations per slot (allowed masks and clause rows) and the
+point data of their merge (clause-good masks, the point order and each
+group's first point). It holds no strategy; `_admissible` takes the
+strategy as an argument, so every strategy of a round and every re-query
+that names an elimination's reason asks the same prepared query. The LP
+rows of a strategy (integer payoff differences) are built only when its
+pattern LPs run.
 
 Payoffs come from the game's exact payoff table (`GameTree.payoff_table`):
 per player, Python-int numerators over the leaves, read per strategy
@@ -72,6 +75,7 @@ set or a linear row on one event group's conditional.
 """
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -267,16 +271,17 @@ class BeliefSpace:
         rows lists the distinct (group index, mask) pairs, one per reached
         infoset and alternative there, the mask holding the combos of the
         infoset's event at which the alternative earns strictly more;
-        by_group ORs each group's masks. Cached."""
+        by_group ORs each group's masks. Index None, no strategy, reaches no
+        infoset and has no rows. Cached."""
         got = self._signs.get(own_index)
         if got is None:
-            row = self._lt[own_index]
             width = self._lt_width
             rows = {}
             by_group = {}
             for h in self.infosets:
                 if own_index not in self.alts[h]:
                     continue
+                row = self._lt[own_index]
                 gi = self.group_of[h]
                 ev = self.event_mask[h]
                 for alt in self.alts[h]:
@@ -288,28 +293,30 @@ class BeliefSpace:
         return got
 
     def rationality_rows(self, own_index):
-        """(group index, diff) for every own infoset the strategy reaches and
-        every alternative there, where diff[t] = L * (u(own, t) - u(alt, t))
-        over the infoset's event, an integer, nonzero entries only. L > 0 is
-        the table's denominator, so signs and comparisons of sums with equal
-        weights are those of the payoff differences. Built for the pattern
+        """group index -> the diffs of its infosets, one for every own infoset
+        the strategy reaches and every alternative there, in infoset order,
+        where diff[t] = L * (u(own, t) - u(alt, t)) over the infoset's event,
+        an integer, nonzero entries only. L > 0 is the table's denominator,
+        so signs and comparisons of sums with equal weights are those of the
+        payoff differences. Index None has no rows. Built for the pattern
         LPs only; cached; callers must not mutate the diffs."""
         rows = self._rationality.get(own_index)
         if rows is None:
-            mine = self.numerators[own_index]
-            rows = []
+            rows = self._rationality[own_index] = {}
             for h in self.infosets:
                 if own_index not in self.alts[h]:
                     continue
+                mine = self.numerators[own_index]
                 for alt in self.alts[h]:
                     if alt == own_index:
                         continue
                     other = self.numerators[alt]
                     diff = {
-                        t: mine[t] - other[t] for t in self.event[h] if mine[t] != other[t]
+                        t: mine[t] - other[t]
+                        for t in bits(self.event_mask[h])
+                        if mine[t] != other[t]
                     }
-                    rows.append((self.group_of[h], diff))
-            self._rationality[own_index] = rows
+                    rows.setdefault(self.group_of[h], []).append(diff)
         return rows
 
     def combo_label(self, t):
@@ -318,22 +325,9 @@ class BeliefSpace:
         )
 
 
-class _Group:
-    """One distinct conditioning event: its mask and the infosets sharing
-    it; `csorted` and `event` spell the mask out on first use."""
-
-    def __init__(self, index, mask, infosets):
-        self.index = index
-        self.mask = mask
-        self.infosets = infosets
-
-    @cached_property
-    def csorted(self):
-        return tuple(bits(self.mask))
-
-    @cached_property
-    def event(self):
-        return frozenset(self.csorted)
+# One distinct conditioning event: its place in the space's group order, its
+# mask and the infosets sharing it.
+_Group = namedtuple("_Group", "index mask infosets")
 
 
 class ConditionalBeliefs:
@@ -452,7 +446,7 @@ def explain_invalid_cps(game, player, cps):
             if w < 0:
                 return "negative weight at %s" % (h,)
             if w > 0 and t not in sp.event[h]:
-                raise DomainMismatch("mass outside conditioning event at %s" % (h,))
+                return "mass outside conditioning event at %s" % (h,)
             total += w
         if total != 1:
             return "conditional at %s sums to %s" % (h, total)
@@ -594,29 +588,15 @@ class _Bundle:
 
     allowed: group index -> mask of the combos its conditional may charge
     (mandates and support clauses, intersected); rows: group index -> the
-    other clause rows (coefs, op, rhs); strategy_index: the own strategy the
-    slot must make sequentially optimal, or None. The point data (each
-    group's clause-good mask, the point order and each group's first point)
-    depend on allowed and rows only; `_points` fills them once, and
-    `for_strategy` copies share them."""
+    other clause rows (coefs, op, rhs). A bundle holds no strategy: the
+    strategy a query must make optimal is an argument of `_admissible`."""
 
-    __slots__ = ("space", "allowed", "rows", "strategy_index", "points")
+    __slots__ = ("space", "allowed", "rows")
 
     def __init__(self, space):
         self.space = space
         self.allowed = {}
         self.rows = {}
-        self.strategy_index = None
-        self.points = None
-
-    def for_strategy(self, strategy_index):
-        """The same obligations plus sequential optimality of a strategy."""
-        b = _Bundle(self.space)
-        b.allowed = self.allowed
-        b.rows = self.rows
-        b.points = self.points
-        b.strategy_index = strategy_index
-        return b
 
     def restrict(self, gi, mask):
         cur = self.allowed.get(gi)
@@ -659,22 +639,6 @@ class _Bundle:
             return event & ~hit
         return None
 
-    @property
-    def signs(self):
-        """The strategy's sign rows, (rows, by_group); none without one."""
-        if self.strategy_index is None:
-            return (), {}
-        return self.space.sign_rows(self.strategy_index)
-
-    @property
-    def rationality(self):
-        """group index -> the strategy's integer LP rows, built on demand."""
-        out = {}
-        if self.strategy_index is not None:
-            for gi, diff in self.space.rationality_rows(self.strategy_index):
-                out.setdefault(gi, []).append(diff)
-        return out
-
     def satisfied_by(self, cps):
         """Exact check of every obligation against a concrete system."""
         sp = self.space
@@ -688,11 +652,6 @@ class _Bundle:
                 val = sum((cps.prob(h, t) * c for t, c in coefs.items()), ZERO)
                 if not _holds(val, op, rhs):
                     return False
-        for gi, diffs in self.rationality.items():
-            h = sp.groups[gi].infosets[0]
-            for diff in diffs:
-                if sum((cps.prob(h, t) * d for t, d in diff.items()), ZERO) < 0:
-                    return False
         return True
 
 
@@ -704,61 +663,45 @@ def _holds(val, op, rhs):
     return val == rhs
 
 
-def _merged(space, bundles):
-    """One bundle holding every allowed set and clause row of the given
-    ones, which carry no strategy.
-
-    A single system satisfies the merge iff it satisfies each bundle, so
-    with the first slot's strategy added it can serve every slot at once."""
-    merged = _Bundle(space)
-    for b in bundles:
-        for gi, mask in b.allowed.items():
-            merged.restrict(gi, mask)
-        for gi, rws in b.rows.items():
-            merged.rows.setdefault(gi, []).extend(rws)
-    return merged
-
-
 def _points(bundle):
-    """(good, levels, first) of a bundle whose allowed masks are nonempty,
-    built once: good[gi] is the mask of group gi's allowed combos at which
-    mass 1 meets every clause row; levels is the point order, combos allowed
-    by more groups first and ascending index within a level, as disjoint
-    masks; first[gi] is group gi's first combo in that order."""
-    if bundle.points is None:
-        space = bundle.space
-        score = [0] * space.ncombos
-        for mask in bundle.allowed.values():
+    """(good, levels, first), the point data of a bundle: good[gi] is the
+    mask of group gi's allowed combos at which mass 1 meets every clause
+    row; levels is the point order, combos allowed by more groups first and
+    ascending index within a level, as disjoint masks; first[gi] is group
+    gi's first combo in that order."""
+    space = bundle.space
+    score = [0] * space.ncombos
+    for mask in bundle.allowed.values():
+        for t in bits(mask):
+            score[t] += 1
+    by_score = {}
+    for t, k in enumerate(score):
+        by_score[k] = by_score.get(k, 0) | (1 << t)
+    levels = [by_score[k] for k in sorted(by_score, reverse=True)]
+    good = []
+    for g in space.groups:
+        mask = bundle.allowed.get(g.index, g.mask)
+        for coefs, op, rhs in bundle.rows.get(g.index, ()):
             for t in bits(mask):
-                score[t] += 1
-        by_score = {}
-        for t, k in enumerate(score):
-            by_score[k] = by_score.get(k, 0) | (1 << t)
-        levels = [by_score[k] for k in sorted(by_score, reverse=True)]
-        good = []
-        for g in space.groups:
-            mask = bundle.allowed.get(g.index, g.mask)
-            for coefs, op, rhs in bundle.rows.get(g.index, ()):
-                for t in bits(mask):
-                    if not _holds(coefs.get(t, ZERO), op, rhs):
-                        mask &= ~(1 << t)
-            good.append(mask)
-        first = [_first_in(g.mask, levels) for g in space.groups]
-        bundle.points = (good, levels, first)
-    return bundle.points
+                if not _holds(coefs.get(t, ZERO), op, rhs):
+                    mask &= ~(1 << t)
+        good.append(mask)
+    first = [_first_in(g.mask, levels) for g in space.groups]
+    return good, levels, first
 
 
-def _point_witness(space, bundle):
-    """A lexicographic point system satisfying the bundle, or None.
+def _point_witness(space, points, strategy_index):
+    """A lexicographic point system satisfying the obligations behind the
+    point data and making the strategy sequentially optimal, or None.
 
     Orderings are tried most promising first: combos allowed by more groups
     lead. The ordering led by t0 puts each group's mass on t0 when t0 is in
     its event, else on the group's first combo in the base ordering; so it
     passes iff each of those points is good for its group. One AND over the
     groups gives every passing t0; the witness is the first of them."""
-    _good, levels, first = _points(bundle)
+    _good, levels, first = points
     passing = space.full
-    for g, good in zip(space.groups, _good_points(bundle)):
+    for g, good in zip(space.groups, _good_points(space, points, strategy_index)):
         if good >> first[g.index] & 1:
             passing &= good | (space.full ^ g.mask)
         else:
@@ -774,33 +717,36 @@ def _point_witness(space, bundle):
     return ConditionalBeliefs(space, table)
 
 
-def _good_points(bundle):
+def _good_points(space, points, strategy_index):
     """Per group, in the space's order, the mask of the combos t of its
-    event at which mass 1 on t meets every obligation of the bundle on the
-    group: the allowed set, the clause rows and the rationality rows."""
-    neg = bundle.signs[1]
-    return [m & ~neg.get(gi, 0) for gi, m in enumerate(_points(bundle)[0])]
+    event at which mass 1 on t meets every obligation on the group: the
+    allowed set and the clause rows behind the point data, and the
+    strategy's rationality rows."""
+    neg = space.sign_rows(strategy_index)[1]
+    return [m & ~neg.get(gi, 0) for gi, m in enumerate(points[0])]
 
 
-def _dominated(space, bundle):
-    """True when some rationality row of the bundle is strictly negative at
-    every combo its group may believe: the allowed set, else the whole
-    event. Mask algebra only; no LP."""
+def _dominated(space, bundle, strategy_index):
+    """True when some rationality row of the strategy is strictly negative
+    at every combo its group may believe under the bundle: the allowed set,
+    else the whole event. Mask algebra only; no LP."""
     allowed = bundle.allowed
     groups = space.groups
-    for gi, neg in bundle.signs[0]:
+    for gi, neg in space.sign_rows(strategy_index)[0]:
         if not allowed.get(gi, groups[gi].mask) & ~neg:
             return True
     return False
 
 
 class _Query:
-    """The part of a query that no strategy changes: one bundle per slot
-    without rationality, the shared groups, and, when every merged allowed
-    set is nonempty, the merged bundle with its point data. Built once per
-    obligation set and restrictions (`_prepared`)."""
+    """A prepared query: one bundle per slot, the groups whose conditionals
+    the slots share, and, when every allowed set of the merge of the slots
+    is nonempty, the merge's point data (else None). A single system
+    satisfies the merge iff it satisfies each slot, so a point system for
+    the merge serves every slot at once. No strategy is part of it: each
+    `_admissible` call names one."""
 
-    __slots__ = ("space", "bundles", "shared", "empty", "merged")
+    __slots__ = ("space", "bundles", "shared", "empty", "points")
 
     def __init__(self, space, bundles, shared=frozenset()):
         for gi in shared:
@@ -813,20 +759,16 @@ class _Query:
         self.bundles = bundles
         self.shared = shared
         self.empty = not all(all(b.allowed.values()) for b in bundles)
-        self.merged = None
+        self.points = None
         if not self.empty:
-            merged = bundles[0] if len(bundles) == 1 else _merged(space, bundles)
+            merged = _Bundle(space)
+            for b in bundles:
+                for gi, mask in b.allowed.items():
+                    merged.restrict(gi, mask)
+                for gi, rws in b.rows.items():
+                    merged.rows.setdefault(gi, []).extend(rws)
             if all(merged.allowed.values()):
-                _points(merged)
-                self.merged = merged
-
-
-def _prepared(space, key, build):
-    """The cached _Query for a key, built by build() on first use."""
-    query = space._queries.get(key)
-    if query is None:
-        query = space._queries[key] = build()
-    return query
+                self.points = _points(merged)
 
 
 def _admissible(query, strategy_index=None):
@@ -847,34 +789,26 @@ def _admissible(query, strategy_index=None):
     if query.empty:
         COUNTS["empty"] += 1
         return None
-    bundles = list(query.bundles)
-    merged = query.merged
-    if strategy_index is not None:
-        bundles[0] = bundles[0].for_strategy(strategy_index)
-        if merged is query.bundles[0]:
-            merged = bundles[0]
-        elif merged is not None:
-            merged = merged.for_strategy(strategy_index)
-    for b in bundles:
-        if _dominated(space, b):
-            COUNTS["dominated"] += 1
-            return None
-    if merged is not None:
-        cps = _point_witness(space, merged)
+    if _dominated(space, query.bundles[0], strategy_index):
+        COUNTS["dominated"] += 1
+        return None
+    if query.points is not None:
+        cps = _point_witness(space, query.points, strategy_index)
         if cps is not None:
             COUNTS["point"] += 1
-            return [cps] * len(bundles)
-    found = _solve_patterns(space, bundles, query.shared)
+            return [cps] * len(query.bundles)
+    found = _solve_patterns(space, query.bundles, strategy_index, query.shared)
     if found is None:
         COUNTS["patterns_refuted"] += 1
     else:
         COUNTS["patterns_kept"] += 1
-        _verify(space, bundles, query.shared, found)
+        _verify(space, query.bundles, strategy_index, query.shared, found)
     return found
 
 
-def _solve_patterns(space, bundles, shared):
-    """Core search. bundles: one per slot; shared: group indices whose
+def _solve_patterns(space, bundles, strategy_index, shared):
+    """Core search. bundles: one per slot; strategy_index: the strategy
+    slot 0 must make optimal, or None; shared: group indices whose
     conditionals must coincide across slots. Returns a list of systems (one
     per slot) or None."""
     groups = space.groups
@@ -883,25 +817,28 @@ def _solve_patterns(space, bundles, shared):
 
     # One assignment = for every slot and group, the block whose restriction
     # to the group's event carries the conditional. Blocks are created at
-    # pattern roots; shared blocks serve all slots.
+    # pattern roots, and a block's key ends with the index of that group;
+    # shared blocks serve all slots.
     results = [None]
 
     def descend(k, block_of, fresh, zero_rows, eps_rows):
         if results[0] is not None:
             return
         if k == len(order):
-            found = _solve_one(space, bundles, block_of, fresh, zero_rows, eps_rows)
+            found = _solve_one(
+                space, bundles, strategy_index, block_of, fresh, zero_rows, eps_rows
+            )
             if found is not None:
                 results[0] = found
             return
         gi = order[k]
         par = space.parent[gi]
-        ev = groups[gi].event
+        ev = groups[gi].mask
         # Per-slot flags: 1 inherits the parent's block (positive mass on the
         # event), 0 restarts on a fresh block (the parent gives the event zero
         # mass). Slots sharing one parent block choose together; roots
         # restart. A shared group never has diverged parents (upward closure
-        # is checked in _admissible).
+        # is checked when the query is prepared).
         if par is None:
             choices = [(0,) * nslots]
         elif len({block_of[(s, par)] for s in range(nslots)}) == 1:
@@ -933,40 +870,32 @@ def _solve_patterns(space, bundles, shared):
     return results[0]
 
 
-def _solve_one(space, bundles, block_of, fresh, zero_rows, eps_rows):
+def _solve_one(space, bundles, strategy_index, block_of, fresh, zero_rows, eps_rows):
+    """The LP of one pattern. block_of: (slot, group index) -> the key of
+    the block carrying that conditional; fresh: the block keys in column
+    order; zero_rows, eps_rows: (block key, event mask) pairs, an event
+    the block gives zero mass or at least the slack."""
     groups = space.groups
-    nslots = len(bundles)
 
-    block_group = {key: key[1] for key in fresh}
-
-    # Variables forced to zero (pattern zero-mass edges, support mandates)
+    # Each block's live combos: its group's event, less what a zero-mass
+    # edge or an allowed set of a group it carries zeroes. Zeroed variables
     # are dropped from the program entirely rather than constrained.
-    zeroed = set()
+    live = {key: groups[key[-1]].mask for key in fresh}
     for key, ev in zero_rows:
-        for t in ev:
-            zeroed.add((key, t))
+        live[key] &= ~ev
     for s, b in enumerate(bundles):
         for gi, mask in b.allowed.items():
-            key = block_of[(s, gi)]
-            for t in bits(groups[gi].mask & ~mask):
-                zeroed.add((key, t))
+            live[block_of[(s, gi)]] &= mask | ~groups[gi].mask
 
-    cols = {}
+    cols = {}  # block key -> {combo: column}, ascending combos
     ncols = 0
     for key in fresh:
-        live = [
-            t for t in groups[block_group[key]].csorted if (key, t) not in zeroed
-        ]
-        if not live:
+        if not live[key]:
             return None  # the block cannot carry any mass
-        for t in live:
-            cols[(key, t)] = ncols
-            ncols += 1
+        cols[key] = {t: ncols + k for k, t in enumerate(bits(live[key]))}
+        ncols += len(cols[key])
     eps = ncols
     ncols += 1
-
-    def term(key, t):
-        return cols.get((key, t))
 
     # Each distinct row goes to the simplex once, at its first place: a row
     # repeats for every alternative of one plan and for every infoset of a
@@ -983,63 +912,46 @@ def _solve_one(space, bundles, block_of, fresh, zero_rows, eps_rows):
             rows.append((r, op, rhs))
 
     for key in fresh:
-        r = {}
-        for t in groups[block_group[key]].csorted:
-            c = term(key, t)
-            if c is not None:
-                r[c] = ONE
-        emit(r, lp.EQ, ONE)
+        emit(dict.fromkeys(cols[key].values(), ONE), lp.EQ, ONE)
 
     for key, ev in eps_rows:
-        r = {}
-        for t in ev:
-            c = term(key, t)
-            if c is not None:
-                r[c] = ONE
+        r = {c: ONE for t, c in cols[key].items() if ev >> t & 1}
         if not r:
             return None  # positive mass demanded on a fully zeroed event
         r[eps] = -ONE
         emit(r, lp.GE, ZERO)
     emit({eps: ONE}, lp.LE, ONE)
 
-    for s, b in enumerate(bundles):
-        for gi, rws in b.rows.items():
-            key = block_of[(s, gi)]
-            ev = groups[gi].event
+    # Slot 0's rationality rows are the rows diff . P >= 0 on their groups,
+    # after its clause rows; an int rhs keeps their coefficients ints.
+    obligations = [list(b.rows.items()) for b in bundles]
+    obligations[0] += [
+        (gi, [(diff, lp.GE, 0) for diff in diffs])
+        for gi, diffs in space.rationality_rows(strategy_index).items()
+    ]
+    for s, by_group in enumerate(obligations):
+        for gi, rws in by_group:
+            at = cols[block_of[(s, gi)]]
+            ev = groups[gi].mask
             for coefs, op, rhs in rws:
                 r = {}
-                for t in ev:
-                    c = coefs.get(t, ZERO) - rhs
-                    if not c:
-                        continue
-                    col = term(key, t)
-                    if col is not None:
-                        r[col] = c
+                for t, col in at.items():
+                    if ev >> t & 1:
+                        c = coefs.get(t, ZERO) - rhs
+                        if c:
+                            r[col] = c
                 emit(r, op, ZERO)
-        for gi, diffs in b.rationality.items():
-            key = block_of[(s, gi)]
-            for diff in diffs:
-                r = {}
-                for t, d in diff.items():
-                    col = term(key, t)
-                    if col is not None:
-                        r[col] = d
-                emit(r, lp.GE, ZERO)
 
     x = lp.positive_max(ncols, {eps: ONE}, rows)
     if x is None:
         return None
 
     out = []
-    for s in range(nslots):
+    for s in range(len(bundles)):
         table = {}
         for g in groups:
-            key = block_of[(s, g.index)]
-            vals = {}
-            for t in g.csorted:
-                col = term(key, t)
-                if col is not None and x[col]:
-                    vals[t] = x[col]
+            at = cols[block_of[(s, g.index)]]
+            vals = {t: x[c] for t, c in at.items() if g.mask >> t & 1 and x[c]}
             mass = sum(vals.values(), ZERO)
             conditional = {t: v / mass for t, v in vals.items()}
             for h in g.infosets:
@@ -1048,7 +960,7 @@ def _solve_one(space, bundles, block_of, fresh, zero_rows, eps_rows):
     return out
 
 
-def _verify(sp, bundles, shared, systems):
+def _verify(sp, bundles, strategy_index, shared, systems):
     game, player = sp.game, sp.player
     for b, cps in zip(bundles, systems):
         bad = explain_invalid_cps(game, player, cps)
@@ -1056,10 +968,10 @@ def _verify(sp, bundles, shared, systems):
             raise AssertionError("engine produced invalid system: %s" % bad)
         if not b.satisfied_by(cps):
             raise AssertionError("engine witness violates its obligations")
-        if b.strategy_index is not None:
-            s = game.strategies(player)[b.strategy_index]
-            if not sequential_best_reply(game, player, s, cps):
-                raise AssertionError("engine witness is not optimal for %s" % s.name)
+    if strategy_index is not None:
+        s = game.strategies(player)[strategy_index]
+        if not sequential_best_reply(game, player, s, systems[0]):
+            raise AssertionError("engine witness is not optimal for %s" % s.name)
     for gi in shared:
         h = sp.groups[gi].infosets[0]
         first = systems[0].table[h]
@@ -1079,27 +991,36 @@ def exists_admissible_cps(
     Raises EmptyPolytope when some infoset's clauses alone are unsatisfiable;
     that is a property of the restrictions, not of the strategy.
     """
-    sp = space_for(game, player)
-    clauses = _clause_map(game, player, restrictions)
-    ckey = _clause_key(clauses)
-
-    def build():
-        bundle = _Bundle(sp)
-        bundle.add_mandates(mandates)
-        bundle.add_clauses(clauses)
-        return _Query(sp, [bundle])
-
     if keys is None:
         keys = frozenset(it.key() for it in mandates)
-    query = _prepared(sp, (keys, ckey), build)
+    sp = space_for(game, player)
+    found = _ask(sp, strategy, [mandates], (keys,), _clause_map(player, restrictions))
+    return None if found is None else found[0]
+
+
+def _ask(sp, strategy, slots, keys, clauses, shared=frozenset()):
+    """One system per slot, equal on the shared groups, the first making
+    the strategy sequentially optimal, or None. slots: each slot's mandate
+    list, and keys their sets of keys; the clause map binds the last slot.
+    The prepared query is cached on the space under the keys, the clause
+    map and the shared groups. On a refusal, raises EmptyPolytope if the
+    clauses alone admit no belief at some infoset."""
+    ckey = _clause_key(clauses)
+    key = (keys, ckey, shared)
+    query = sp._queries.get(key)
+    if query is None:
+        bundles = [_Bundle(sp) for _ in slots]
+        for bundle, mandates in zip(bundles, slots):
+            bundle.add_mandates(mandates)
+        bundles[-1].add_clauses(clauses)
+        query = sp._queries[key] = _Query(sp, bundles, shared)
     found = _admissible(query, strategy.index)
     if found is None:
         _raise_if_empty(sp, clauses, ckey)
-        return None
-    return found[0]
+    return found
 
 
-def _clause_map(game, player, restrictions):
+def _clause_map(player, restrictions):
     if restrictions is None:
         return {}
     if hasattr(restrictions, "clauses_for"):
@@ -1141,30 +1062,12 @@ def coupled_admissible_pair(
     events; the strategy must be optimal under mu; bar carries the clause
     polytopes and its own mandates. Returns (mu, bar) or None."""
     sp = space_for(game, player)
-    clauses = _clause_map(game, player, bar_restrictions)
-    ckey = _clause_key(clauses)
     shared = frozenset(sp.group_of[h] for h in agreement_infosets)
-
-    def build():
-        mu = _Bundle(sp)
-        mu.add_mandates(mu_mandates)
-        bar = _Bundle(sp)
-        bar.add_mandates(bar_mandates)
-        bar.add_clauses(clauses)
-        return _Query(sp, [mu, bar], shared)
-
-    key = (
-        "coupled",
-        frozenset(it.key() for it in mu_mandates),
-        frozenset(it.key() for it in bar_mandates),
-        ckey,
-        shared,
-    )
-    found = _admissible(_prepared(sp, key, build), strategy.index)
-    if found is None:
-        _raise_if_empty(sp, clauses, ckey)
-        return None
-    return found[0], found[1]
+    slots = [mu_mandates, bar_mandates]
+    keys = tuple(frozenset(it.key() for it in mandates) for mandates in slots)
+    clauses = _clause_map(player, bar_restrictions)
+    found = _ask(sp, strategy, slots, keys, clauses, shared)
+    return None if found is None else tuple(found)
 
 
 def cps_in_agreement_closure(
@@ -1177,16 +1080,15 @@ def cps_in_agreement_closure(
     P(t) = w per combo t of its event (w read at the group's first listed
     infoset); a 0/1 weight becomes an allowed set."""
     sp = space_for(game, player)
-    clauses = _clause_map(game, player, bar_restrictions)
     bar = _Bundle(sp)
     bar.add_mandates(bar_mandates)
-    bar.add_clauses(clauses)
+    bar.add_clauses(_clause_map(player, bar_restrictions))
     pinned = set()
     for h in agreement_infosets:
         gi = sp.group_of[h]
         if gi in pinned:
             continue
         pinned.add(gi)
-        for t in sp.groups[gi].csorted:
+        for t in bits(sp.groups[gi].mask):
             bar.add_row(gi, {t: ONE}, lp.EQ, Fraction(cps.prob(h, t)))
     return _admissible(_Query(sp, [bar])) is not None

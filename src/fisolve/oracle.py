@@ -81,7 +81,7 @@ def oracle_cps_search(
     Returns a ConditionalBeliefs witness or None.
     """
     sp = beliefs.space_for(game, player)
-    clauses = beliefs._clause_map(game, player, restrictions)
+    clauses = beliefs._clause_map(player, restrictions)
 
     allowed = {}
     for item in mandates:

@@ -102,6 +102,17 @@ def test_surprise_reset_is_valid(bribe):
     assert beliefs.is_valid_cps(bribe, "Ann", cps)
 
 
+def test_mass_outside_an_event_is_reported(bribe):
+    """A system with mass outside a conditioning event is invalid, with a
+    reason, not an error: Bob's R does not reach ann_after_ba."""
+    cps = beliefs.cps_from_table(
+        bribe, "Ann", {"ann_root": {0: 1}, "ann_after_ba": {0: 1}}
+    )
+    assert not beliefs.is_valid_cps(bribe, "Ann", cps)
+    reason = beliefs.explain_invalid_cps(bribe, "Ann", cps)
+    assert reason == "mass outside conditioning event at ann_after_ba"
+
+
 def test_chain_rule_inheritance(bribe):
     # Positive mass on the sub-event forces Bayes: 1 * (1/3) == p_root(A).
     good = beliefs.cps_from_table(
@@ -337,6 +348,62 @@ def test_pattern_lps_get_each_row_once(bribe, monkeypatch):
         assert all(r for r, _, _ in rows)
 
 
+def _tamper_pattern_witnesses(monkeypatch, tamper):
+    """Hand every system list the pattern LPs find through `tamper`."""
+    solve_one = beliefs._solve_one
+
+    def tampered(*args):
+        found = solve_one(*args)
+        return None if found is None else tamper(found)
+
+    monkeypatch.setattr(beliefs, "_solve_one", tampered)
+
+
+def test_verifier_rejects_a_witness_that_is_not_optimal(bribe, monkeypatch):
+    """B.I's threshold query under the cap 2/3 is kept by the pattern LPs.
+    Mass 1 on R at the root meets the cap, but there N beats B.I."""
+    on_r = beliefs.cps_from_table(
+        bribe, "Ann", {"ann_root": {0: 1}, "ann_after_ba": {1: 1}}
+    )
+    _tamper_pattern_witnesses(monkeypatch, lambda found: [on_r])
+    cap = dsl.parse_restrictions("player Ann\n  at ann_root: P[Bob = A] <= 2/3\n", bribe)
+    with pytest.raises(AssertionError, match="not optimal for B.I"):
+        beliefs.exists_admissible_cps(bribe, "Ann", strat(bribe, "Ann", "B.I"), (), cap)
+
+
+def test_verifier_rejects_a_witness_that_breaks_a_mandate(bribe, monkeypatch):
+    """mu's system, mass on A at the root, handed to bar, which must
+    strongly believe R."""
+    sb_r = beliefs.strong_belief_mandate(bribe, "Ann", "sb R", "Bob", [strat(bribe, "Bob", "R")])
+    sb_a = beliefs.strong_belief_mandate(bribe, "Ann", "sb A", "Bob", [strat(bribe, "Bob", "A")])
+    _tamper_pattern_witnesses(monkeypatch, lambda found: [found[0], found[0]])
+    with pytest.raises(AssertionError, match="violates its obligations"):
+        beliefs.coupled_admissible_pair(
+            bribe, "Ann", strat(bribe, "Ann", "B.I"), [sb_a], [sb_r], None, ()
+        )
+
+
+def test_verifier_rejects_slots_that_disagree(bribe, monkeypatch):
+    """The slots agree everywhere, and bar's clause P(A) >= 1/3 leaves no
+    point system for N.P, so the pattern LPs decide. Moving bar's root mass
+    onto A keeps every obligation of bar but breaks the agreement."""
+    on_a = beliefs.cps_from_table(
+        bribe, "Ann", {"ann_root": {1: 1}, "ann_after_ba": {1: 1}}
+    )
+    _tamper_pattern_witnesses(monkeypatch, lambda found: [found[0], on_a])
+    floor = dsl.parse_restrictions("player Ann\n  at ann_root: P[Bob = A] >= 1/3\n", bribe)
+    with pytest.raises(AssertionError, match="agreement violated at ann_root"):
+        beliefs.coupled_admissible_pair(
+            bribe,
+            "Ann",
+            strat(bribe, "Ann", "N.P"),
+            (),
+            (),
+            floor,
+            ("ann_root", "ann_after_ba"),
+        )
+
+
 def test_contradictory_clauses_raise_empty_polytope(bribe):
     text = (
         "player Ann\n"
@@ -501,9 +568,9 @@ def test_coupled_pair_diverged_parents(bribe, monkeypatch):
     patterns = []
     solve_one = beliefs._solve_one
 
-    def recording(space, bundles, block_of, fresh, zero_rows, eps_rows):
+    def recording(space, bundles, strategy_index, block_of, fresh, zero_rows, eps_rows):
         patterns.append(list(fresh))
-        return solve_one(space, bundles, block_of, fresh, zero_rows, eps_rows)
+        return solve_one(space, bundles, strategy_index, block_of, fresh, zero_rows, eps_rows)
 
     monkeypatch.setattr(beliefs, "_solve_one", recording)
     pair = beliefs.coupled_admissible_pair(

@@ -37,6 +37,16 @@ def test_rationalizability_human_report(capsys):
     assert "B/A/I (Ann=1, Bob=1)" in out
 
 
+def test_readme_quick_start_is_the_cli_output(capsys):
+    """The README's quick-start transcript is what the command prints."""
+    readme = (ROOT / "README.md").read_text()
+    command = "fisolve --game games/bribe.game --procedure rationalizability\n```\n\n```\n"
+    start = readme.index(command) + len(command)
+    code, out, err = run(capsys, "--game", BRIBE, "--procedure", "rationalizability")
+    assert code == 0 and err == ""
+    assert out == readme[start : readme.index("```", start)]
+
+
 def test_selective_empty_is_a_result_not_an_error(capsys):
     code, out, _ = run(
         capsys,

@@ -5,9 +5,11 @@ between procedures, oracle concordance); these pin its exact output, so a
 change to the engine that picks a different but equally valid witness, or
 words a reason differently, shows up here. The digests and the fixture
 files under `golden/` were written by the engine before its belief kernel
-moved to bitmasks, and the `--compare` file before the solve carried its
-obligation lists from round to round; regenerate them only for a
-deliberate change of output.
+moved to bitmasks, the `--compare` file before the solve carried its
+obligation lists from round to round, and the closure and correlated
+digests and the no-s3 files before the kernel's prepared queries stopped
+carrying the strategy; regenerate them only for a deliberate change of
+output.
 """
 
 import hashlib
@@ -28,6 +30,12 @@ RATIONALIZABILITY_SHA256 = (
 RESTRICTED_IDS = range(100)
 RESTRICTED_SHA256 = (
     "ec26d0b226f22ddd297201c22c5345ed13f85297c2886386d5c3b00b25282d7a"
+)
+CLOSURE_SHA256 = (
+    "575e2a38b76978da042dc4410283bf2a0ce0fe42f7bb45fae8a0c0d2fd6b4304"
+)
+CORRELATED_SHA256 = (
+    "b44a42b1c48701bb8a69628fde4e13a4f030c139301962e23f7c4ea0ca20507c"
 )
 
 
@@ -58,12 +66,45 @@ def restricted_texts():
         yield dsl.serialize_solution(solvers.strong_delta_rationalizability(game, delta))
 
 
+def closure_texts():
+    """The restriction closure of every nonempty selective run of the
+    restricted draws: the coupled two-system queries."""
+    for i in RESTRICTED_IDS:
+        game = randgen.random_game(i, max_strategies=8)
+        base = solvers.rationalizability(game)
+        delta = randgen.random_point_restrictions(i + 1, game, base)
+        if delta is None:
+            continue
+        if solvers.selective_rationalizability(game, delta, base=base).survivors.is_empty():
+            continue
+        implicit = solvers.rationalize_restrictions(game, delta, base=base)
+        yield dsl.serialize_solution(
+            solvers.generalized_solve(
+                solvers.ProcedureSpec(game, "closure", restrictions=implicit)
+            )
+        )
+
+
+def correlated_texts():
+    for i in RATIONALIZABILITY_IDS:
+        game = randgen.random_game(i)
+        yield dsl.serialize_solution(solvers.rationalizability(game, correlated=True))
+
+
 def test_rationalizability_outputs_are_pinned():
     assert _sha256(rationalizability_texts()) == RATIONALIZABILITY_SHA256
 
 
 def test_restricted_outputs_are_pinned():
     assert _sha256(restricted_texts()) == RESTRICTED_SHA256
+
+
+def test_closure_outputs_are_pinned():
+    assert _sha256(closure_texts()) == CLOSURE_SHA256
+
+
+def test_correlated_outputs_are_pinned():
+    assert _sha256(correlated_texts()) == CORRELATED_SHA256
 
 
 def golden_runs():

@@ -12,9 +12,15 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from fisolve import beliefs, dsl, lp, randgen
+from fisolve.model import bits
 
 
 # -- the set-based reference -------------------------------------------------
+
+
+def event(g):
+    """The combo indices of an event group's event."""
+    return frozenset(bits(g.mask))
 
 
 class RefBundle:
@@ -32,13 +38,13 @@ class RefBundle:
         self.allowed[gi] = set(ts) if cur is None else (cur & set(ts))
 
     def add_row(self, gi, coefs, op, rhs):
-        event = self.space.groups[gi].event
+        group_event = event(self.space.groups[gi])
         if all(c == 1 for c in coefs.values()):
             if rhs == 1 and op in (lp.EQ, lp.GE):
                 self.restrict(gi, set(coefs))
                 return
             if rhs == 0 and op in (lp.EQ, lp.LE):
-                self.restrict(gi, set(event) - set(coefs))
+                self.restrict(gi, set(group_event) - set(coefs))
                 return
         self.rows.setdefault(gi, []).append((coefs, op, rhs))
 
@@ -56,7 +62,7 @@ class RefBundle:
 
 def ref_dominated(space, b):
     for gi, diffs in b.rationality.items():
-        ts = b.allowed.get(gi, space.groups[gi].event)
+        ts = b.allowed.get(gi, event(space.groups[gi]))
         if any(all(diff.get(t, 0) < 0 for t in ts) for diff in diffs):
             return True
     return False
@@ -64,7 +70,7 @@ def ref_dominated(space, b):
 
 def ref_good_points(b, g):
     allowed = b.allowed.get(g.index)
-    good = set(g.event if allowed is None else g.event & allowed)
+    good = set(event(g) if allowed is None else event(g) & allowed)
     for diff in b.rationality.get(g.index, ()):
         good.difference_update(t for t, d in diff.items() if d < 0)
     for coefs, op, rhs in b.rows.get(g.index, ()):
@@ -82,13 +88,13 @@ def ref_point_witness(space, b):
     base = sorted(range(n), key=lambda t: (-score[t], t))
     checks = []
     for g in space.groups:
-        first = next(t for t in base if t in g.event)
+        first = next(t for t in base if t in event(g))
         good = ref_good_points(b, g)
         checks.append((g, first, good, first in good))
     for t0 in base:
-        if all(t0 in good if t0 in g.event else ok for g, _first, good, ok in checks):
+        if all(t0 in good if t0 in event(g) else ok for g, _first, good, ok in checks):
             return {
-                h: (t0 if t0 in g.event else first)
+                h: (t0 if t0 in event(g) else first)
                 for g, first, _good, _ok in checks
                 for h in g.infosets
             }
@@ -115,7 +121,8 @@ def random_obligations(rng, game, player):
     rows = []
     for _ in range(rng.randint(0, 3)):
         g = rng.choice(sp.groups)
-        ts = rng.sample(g.csorted, rng.randint(1, len(g.csorted)))
+        combos = bits(g.mask)
+        ts = rng.sample(combos, rng.randint(1, len(combos)))
         if rng.random() < 0.5:
             coefs = {t: Fraction(1) for t in ts}
             rhs = Fraction(rng.choice((0, 1)))
@@ -159,13 +166,15 @@ def test_mask_kernel_matches_the_set_reference(seed):
         bundle.add_row(gi, coefs, op, rhs)
     s = rng.choice(game.strategies(player)).index
     ref.add_rationality(s)
-    bundle = bundle.for_strategy(s)
 
     assert bundle.allowed == {gi: mask(ts) for gi, ts in ref.allowed.items()}
-    assert beliefs._dominated(sp, bundle) == ref_dominated(sp, ref)
-    assert beliefs._good_points(bundle) == [mask(ref_good_points(ref, g)) for g in sp.groups]
+    assert beliefs._dominated(sp, bundle, s) == ref_dominated(sp, ref)
+    points = beliefs._points(bundle)
+    assert beliefs._good_points(sp, points, s) == [
+        mask(ref_good_points(ref, g)) for g in sp.groups
+    ]
     if all(ref.allowed.values()):
-        cps = beliefs._point_witness(sp, bundle)
+        cps = beliefs._point_witness(sp, points, s)
         want = ref_point_witness(sp, ref)
         if want is None:
             assert cps is None

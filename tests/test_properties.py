@@ -163,11 +163,11 @@ def test_dominance_exit_never_changes_an_answer():
     dominated = beliefs._dominated
     verdicts = []
 
-    def checked(space, bundle):
-        hit = dominated(space, bundle)
+    def checked(space, bundle, strategy_index):
+        hit = dominated(space, bundle, strategy_index)
         verdicts.append(hit)
         if hit:
-            assert beliefs._solve_patterns(space, [bundle], frozenset()) is None
+            assert beliefs._solve_patterns(space, [bundle], strategy_index, frozenset()) is None
         return hit
 
     @given(seed=st.integers(0, 10**6))
@@ -189,7 +189,7 @@ def test_dominance_exit_never_changes_an_answer():
         with mock.patch.object(beliefs, "_dominated", checked):
             with_check = solve_all()
         assert verdicts[start:].count(True) == beliefs.COUNTS["dominated"]
-        with mock.patch.object(beliefs, "_dominated", lambda space, bundle: False):
+        with mock.patch.object(beliefs, "_dominated", lambda space, bundle, s: False):
             without_check = solve_all()
         assert with_check == without_check
 
