@@ -5,6 +5,8 @@ from `solvers`, and inspect the returned trace. `beliefs` holds the
 conditional belief machinery, `oracle` an independent grid search used to
 cross-check it, `stability` a floating-point equilibrium and perturbation
 lab, and `randgen` reproducible random instances for property testing.
+Only the lab needs numpy: it loads on the first use of one of its names
+here, so importing fisolve and running the exact procedures never does.
 """
 
 from .dsl import (
@@ -41,18 +43,6 @@ from .solvers import (
     selective_rationalizability,
     solve_without_s3,
     strong_delta_rationalizability,
-)
-from .stability import (
-    MixedStrategy,
-    NormalForm,
-    PerturbationSpec,
-    SearchBudgetExceeded,
-    StabilityError,
-    find_equilibrium_near,
-    is_nash,
-    normal_form,
-    perturb_game,
-    run_scenario,
 )
 from .randgen import random_game, random_point_restrictions
 
@@ -107,3 +97,12 @@ __all__ = [
     "strong_delta_rationalizability",
     "strongly_believes",
 ]
+
+
+def __getattr__(name):
+    # The names of __all__ not bound above are the lab's.
+    if name in __all__:
+        from . import stability
+
+        return getattr(stability, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -40,13 +40,15 @@ alternatives per infoset are the bits of the game's own reach masks. The
 pattern LPs take their columns from masks too: one live mask per block.
 The index sets of events (`BeliefSpace.event`) and the combo tuples are
 spelled out on first use, by clauses, the oracle and the validity checks.
-The space holds each player's sign masks from one exact comparison pass
-over the payoff table: `lt(s, a)` has bit t set iff u(s, t) < u(a, t).
-A rationality row of strategy s against alternative a at infoset h is then
-`lt(s, a) & event(h)`, the combos where the row is negative; a group is
-dominated when some row covers its allowed set, and its good points are the
-allowed, clause-good combos outside every row. A query is prepared once
-per obligation set and restrictions and cached on the space (`_Query`):
+The space reads its sign masks off the payoff table's cells: per own
+strategy, the combos at each payoff rank and those where it earns more than
+each rank. `lt(s, a)`, the combos t where u(s, t) < u(a, t), is the OR over
+ranks r of s's combos at r and a's combos above r. A rationality row of
+strategy s against alternative a at infoset h is then `lt(s, a) &
+event(h)`, the combos where the row is negative; a group is dominated when
+some row covers its allowed set, and its good points are the allowed,
+clause-good combos outside every row. A query is prepared once per
+obligation set and restrictions and cached on the space (`_Query`):
 one bundle of obligations per slot (allowed masks and clause rows) and the
 point data of their merge (clause-good masks, the point order and each
 group's first point). It holds no strategy; `_admissible` takes the
@@ -56,14 +58,12 @@ rows of a strategy (integer payoff differences) are built only when its
 pattern LPs run.
 
 Payoffs come from the game's exact payoff table (`GameTree.payoff_table`):
-per player, Python-int numerators over the leaves, read per strategy
-profile through the table's leaf index, and one common denominator L > 0.
-The sign masks compare dense ranks of those numerators. A rationality row is
-the difference of two integer rows, L * (u(s, .) - u(alt, .)). The sign
-masks are its signs, and the optimality checks compare two
-expectations under the same weights, so the factor L changes none of them.
-The pattern LP takes the integer rows as they are: it stores every row as
-coprime integers, so a row scaled by L > 0 is the same row to the simplex.
+per player, Python-int numerators over the leaves and one common
+denominator L > 0. A rationality row is the difference of two integer rows,
+L * (u(s, .) - u(alt, .)). The sign masks are its signs, and the optimality
+checks compare two expectations under the same weights, so the factor L
+changes none of them. The pattern LP stores every row as coprime integers,
+so a row scaled by L > 0 is the same row to the simplex.
 
 The same machinery answers a coupled query used when restrictions are given
 implicitly as "agrees on a set of events with some member of a smaller CPS
@@ -80,10 +80,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
-import numpy as np
-
 from . import lp
-from .model import bits
+from .model import bits, opponent_combos
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -127,14 +125,6 @@ class UnsupportedBeliefStructure(BeliefError):
     to be upward-closed in that forest. Every game in the supported family
     (perfect-information trees and simultaneous blocks) satisfies both.
     """
-
-
-def _mask(ts):
-    """The mask of a collection of combo indices."""
-    m = 0
-    for t in ts:
-        m |= 1 << t
-    return m
 
 
 def _first_in(mask, levels):
@@ -215,15 +205,23 @@ class BeliefSpace:
 
         # Own reachability per infoset: the strategy indices, ascending.
         self.alts = {h: tuple(bits(game.reach_mask(player, h))) for h in self.infosets}
-        # Sign masks from one comparison of the payoff ranks, packed
-        # little-endian: bit t of field a of _lt[s] is set iff s earns
-        # strictly less than a against combo t (see `lt`).
-        ranks = game.payoff_table().ranks(player)
-        packed = np.packbits(ranks[:, None, :] < ranks[None, :, :], axis=-1, bitorder="little")
-        self._lt_width = width = 8 * packed.shape[-1]
-        every = int.from_bytes(packed.tobytes(), "little")
-        row = width * len(ranks)
-        self._lt = [every >> (s * row) & ((1 << row) - 1) for s in range(len(ranks))]
+        # Per own strategy, its combos at each payoff rank and, per rank r,
+        # those where it earns more than r (see `lt`). Ranks are dense.
+        k = game.players.index(player)
+        table = game.payoff_table()
+        nums = table.numerators[k]
+        rank_of = {v: r for r, v in enumerate(sorted(set(nums)))}
+        self._at, self._above = [], []
+        for cells in table.cells(k):
+            at = {}
+            for n, combos in cells.items():
+                r = rank_of[nums[n]]
+                at[r] = at.get(r, 0) | combos
+            above = {len(rank_of) - 1: 0}
+            for r in range(len(rank_of) - 1, 0, -1):
+                above[r - 1] = above[r] | at.get(r, 0)
+            self._at.append(at)
+            self._above.append(above)
         self._rationality = {}
         self._signs = {}
         self._queries = {}
@@ -248,23 +246,13 @@ class BeliefSpace:
 
     def lt(self, s, a):
         """The mask of the combos where own strategy s earns strictly less
-        than own strategy a."""
-        return (self._lt[s] >> (a * self._lt_width)) & self.full
-
-    def component_mask(self, opponent, indices):
-        """The combos whose component for the opponent is in `indices`."""
-        pos = self.opp_pos[opponent]
-        stride = 1
-        for size in self.radix[pos + 1 :]:
-            stride *= size
-        # Combo t has component (t // stride) % radix[pos].
-        block = (1 << stride) - 1
-        period = self.radix[pos] * stride
-        unit = 0
-        for k in indices:
-            unit |= block << (k * stride)
-        # One copy of the unit per period.
-        return unit * (self.full // ((1 << period) - 1))
+        than own strategy a: the OR over ranks r of s's combos at r and a's
+        combos above r."""
+        above = self._above[a]
+        got = 0
+        for r, combos in self._at[s].items():
+            got |= combos & above[r]
+        return got
 
     def sign_rows(self, own_index):
         """The rationality rows of an own strategy as masks: (rows, by_group).
@@ -275,18 +263,19 @@ class BeliefSpace:
         infoset and has no rows. Cached."""
         got = self._signs.get(own_index)
         if got is None:
-            width = self._lt_width
             rows = {}
             by_group = {}
+            lt = {}  # alternative -> lt(own_index, alternative)
             for h in self.infosets:
                 if own_index not in self.alts[h]:
                     continue
-                row = self._lt[own_index]
                 gi = self.group_of[h]
                 ev = self.event_mask[h]
                 for alt in self.alts[h]:
                     if alt != own_index:
-                        neg = (row >> (alt * width)) & ev
+                        if alt not in lt:
+                            lt[alt] = self.lt(own_index, alt)
+                        neg = lt[alt] & ev
                         rows[(gi, neg)] = None
                         by_group[gi] = by_group.get(gi, 0) | neg
             got = self._signs[own_index] = (tuple(rows), by_group)
@@ -501,9 +490,11 @@ def joint_strong_belief_mandate(game, player, label, targets_by_player):
     infoset h exactly where the target combos meet h's event, allowing that
     intersection there."""
     sp = space_for(game, player)
-    hits = sp.full
+    sizes = [len(game.strategies(j)) for j in game.players]
+    parts = [(1 << n) - 1 for n in sizes]
     for j, ss in targets_by_player.items():
-        hits &= sp.component_mask(j, [s.index for s in ss])
+        parts[game.players.index(j)] = sum({1 << s.index for s in ss})
+    hits = opponent_combos(parts, sizes, game.players.index(player))
     masks = {}
     for h in sp.infosets:
         inter = hits & sp.event_mask[h]
@@ -632,7 +623,7 @@ class _Bundle:
         """
         if any(c != 1 for c in coefs.values()):
             return None
-        hit = _mask(coefs)
+        hit = sum(1 << t for t in coefs)
         if rhs == 1 and op in (lp.EQ, lp.GE):
             return hit
         if rhs == 0 and op in (lp.EQ, lp.LE):

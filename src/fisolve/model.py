@@ -15,12 +15,13 @@ Everything derived from a tree comes from one walk from the root
 (`GameTree._derive`; `validate` runs it with its checks on). A set of one
 player's strategies is a Python int with bit i for strategy i, the
 representation the belief kernel uses for opponent combos. The walk carries
-each player's consistent strategies per decision node as such masks. The
-reach sets of an information set are the OR of its nodes' masks, and its
-conditioning event for a player, the opponent combos that allow it, is the
-OR over its nodes of the product of the opponents' masks. The payoff table
-fills its leaf index per decision node on a tensor with one axis per
-information set, and builds its exact numerators on first use.
+each player's consistent strategies per node, decision node or leaf, as
+such masks. The reach sets of an information set are the OR of its nodes'
+masks, and its conditioning event for a player, the opponent combos that
+allow it, is the OR over its nodes of the product of the opponents' masks
+(`opponent_combos`). A leaf is reached by exactly the profiles in the
+product of its masks, so the payoff table is those masks: plans, payoff rows
+and the outcomes of a product set are read off them.
 
 The records (Leaf, DecisionNode, InfoSet, Strategy) are named tuples:
 immutable, compared by value, and cheap to build, since every parse builds
@@ -31,8 +32,6 @@ import math
 from functools import cached_property
 from itertools import chain, product
 from typing import NamedTuple
-
-import numpy as np
 
 
 class ModelError(Exception):
@@ -161,7 +160,7 @@ class GameTree:
         """Everything read off the tree, from one walk from the root.
 
         A set of one player's strategies is a Python int whose bit i stands
-        for strategy i. The walk carries, per decision node, each player's
+        for strategy i. The walk carries, per node and leaf, each player's
         strategies consistent with reaching it, one such mask per player;
         at a decision node the owner's mask is cut by the mask of the
         strategies that choose each action there. `validate` passes
@@ -205,8 +204,7 @@ class GameTree:
                 block = ((1 << stride) - 1) * (((1 << total) - 1) // ((1 << period) - 1))
                 action_masks[h] = [block << (a * stride) for a in range(len(acts))]
 
-        # The walk. Stack order enters every decision node before the nodes
-        # below it, so `consistent` (decision nodes only) is a preorder.
+        # The walk, from the root; `consistent` gets every node and leaf.
         owner_pos = {p: k for k, p in enumerate(players)}
         leaves, n = self.leaves, len(players)
         paths, consistent = {}, {}
@@ -219,10 +217,11 @@ class GameTree:
             head, mine, tail = sets[:k], sets[k], sets[k + 1:]
             cuts = action_masks[infoset_of_node[name]]
             for ai, child in enumerate(node.children):
+                below = head + (mine & cuts[ai],) + tail
                 if child in nodes:
-                    stack.append((child, path + ((name, ai),), head + (mine & cuts[ai],) + tail))
+                    stack.append((child, path + ((name, ai),), below))
                     continue
-                paths[child] = path + ((name, ai),)
+                paths[child], consistent[child] = path + ((name, ai),), below
                 if check and len(leaves[child].payoffs) != n:
                     raise ModelError(
                         "leaf %r has %d payoffs for %d players"
@@ -264,7 +263,6 @@ class GameTree:
             "strategies": strategies,
             "consistent": consistent,
             "reach": reach,
-            "reach_cache": {},
             "joint_cache": {},
         }
 
@@ -323,42 +321,23 @@ class GameTree:
 
     def strategies_reaching(self, player, infoset_name):
         """Strategies of the player consistent with some node of the infoset."""
-        d = self._ensure_derived()
-        key = (player, infoset_name)
-        if key not in d["reach_cache"]:
-            ss = d["strategies"][player]
-            d["reach_cache"][key] = [ss[i] for i in bits(self.reach_mask(player, infoset_name))]
-        return d["reach_cache"][key]
+        ss = self.strategies(player)
+        return [ss[i] for i in bits(self.reach_mask(player, infoset_name))]
 
     def joint_reaching_mask(self, player, infoset_name):
         """The opponent profiles that allow some node of the infoset to be
         reached, as a mask over the product of the other players' strategy
-        lists: bit t for the profile whose mixed-radix index is t (the
-        other players in player order, rightmost fastest). Per node that
-        set is the product of the opponents' consistent masks."""
+        lists (see `opponent_combos`): per node, the product of the
+        opponents' consistent masks."""
         d = self._ensure_derived()
         key = (player, infoset_name)
         got = d["joint_cache"].get(key)
         if got is None:
             k = self.players.index(player)
+            sizes = [len(d["strategies"][p]) for p in self.players]
             got = 0
             for nn in self.infosets[infoset_name].nodes:
-                part = 1
-                for j, m in enumerate(d["consistent"][nn]):
-                    if j == k:
-                        continue
-                    if part != 1:
-                        # Every combo t so far becomes the block t * size + i
-                        # for i in m: spread the bits, then one product.
-                        size = len(d["strategies"][self.players[j]])
-                        spread = 0
-                        while part:
-                            low = part & -part
-                            spread |= 1 << ((low.bit_length() - 1) * size)
-                            part ^= low
-                        part = spread
-                    part *= m
-                got |= part
+                got |= opponent_combos(d["consistent"][nn], sizes, k)
             d["joint_cache"][key] = got
         return got
 
@@ -407,46 +386,46 @@ def bits(mask):
     return out
 
 
+def opponent_combos(masks, sizes, k):
+    """The mask of player k's opponent combos inside the product of the
+    per-player strategy masks (sizes: the players' strategy counts). Combo
+    t is the mixed-radix number of its components' indices, the other
+    players in player order, rightmost fastest."""
+    part = 1
+    for j, m in enumerate(masks):
+        if j == k:
+            continue
+        if part != 1:
+            # Every combo t so far becomes the block t * size + i for i in
+            # m: spread the bits, then one product.
+            spread = 0
+            while part:
+                low = part & -part
+                spread |= 1 << ((low.bit_length() - 1) * sizes[j])
+                part ^= low
+            part = spread
+        part *= m
+    return part
+
+
 class PayoffTable:
     """Exact payoffs of every strategy profile, read off the tree walk.
 
-    `leaf_of` holds per profile (one axis per player, in player order) the
-    position in `leaves` of the leaf it reaches. It is filled as a tensor
-    with one axis per information set (every player's sets in player order,
-    each player's in its own order), whose row-major order is the strategy
-    order: one assignment per decision node, in preorder, writes the node's
-    leaf children along its set's axis at the coordinates of its path, and
-    the nodes below overwrite the other children's cells. Player k's
-    payoff there is `numerators[k][leaf] / denominators[k]`: Python ints
-    over one common denominator L, the lcm of k's leaf denominators, built
-    on first use. Python ints, because a fixed-width wrap would flip a sign.
+    A leaf is reached by exactly the profiles in the product of its
+    per-player masks (`masks`, aligned with `leaves`), so against one own
+    strategy the leaves it reaches split the opponent combos (`cells`).
+    Player k's payoff at a leaf is `numerators[k][leaf] / denominators[k]`:
+    Python ints (a fixed-width wrap would flip a sign) over one common
+    denominator, the lcm of k's leaf denominators, built on first use.
     """
 
     def __init__(self, game):
         d = game._ensure_derived()
         self.players = game.players
         self.leaves = tuple(game.leaves.values())
-        axis, sizes = {}, []
-        for p in game.players:
-            for h in d["player_infosets"][p]:
-                axis[h] = len(sizes)
-                sizes.append(len(game.infosets[h].actions))
-        position = {leaf.name: n for n, leaf in enumerate(self.leaves)}
-        of_node = d["infoset_of_node"]
-        table = np.empty(sizes, dtype=np.intp)
-        free = slice(None)
-        for name in d["consistent"]:  # the decision nodes in preorder
-            index = [free] * len(sizes)
-            for step, ai in d["paths"][name]:
-                index[axis[of_node[step]]] = ai
-            x = axis[of_node[name]]
-            # A node child's cells get 0 here and its own values later.
-            values = [position.get(child, 0) for child in game.nodes[name].children]
-            # Shape (actions, 1, ...) to broadcast along the free axes after x.
-            for _ in range(index[x + 1:].count(free)):
-                values = [[v] for v in values]
-            table[tuple(index)] = values
-        self.leaf_of = table.reshape([len(d["strategies"][p]) for p in game.players])
+        self.masks = [d["consistent"][leaf.name] for leaf in self.leaves]
+        self.sizes = [len(d["strategies"][p]) for p in game.players]
+        self._cells = {}
 
     @cached_property
     def denominators(self):
@@ -463,39 +442,47 @@ class PayoffTable:
             for col, L in zip(columns, self.denominators)
         ]
 
-    def _own_major(self, k):
-        """Leaf positions per (own strategy of player k, opponent combo),
-        the combos in canonical order (the other players in player order,
-        rightmost fastest)."""
-        order = [k] + [j for j in range(len(self.players)) if j != k]
-        return self.leaf_of.transpose(order).reshape(self.leaf_of.shape[k], -1)
+    def cells(self, k):
+        """Per own strategy of player k, {leaf position: combo mask} over
+        the leaves it reaches, in leaf order: the opponent combos against
+        which it reaches each. They partition the combos. Cached."""
+        got = self._cells.get(k)
+        if got is None:
+            got = self._cells[k] = [{} for _ in range(self.sizes[k])]
+            for n, masks in enumerate(self.masks):
+                combos = opponent_combos(masks, self.sizes, k)
+                for s in bits(masks[k]):
+                    got[s][n] = combos
+        return got
+
+    def positions(self, player):
+        """Per own strategy of the player, the positions in `leaves` of the
+        leaves it reaches, over the opponent combos in canonical order."""
+        k = self.players.index(player)
+        out = []
+        for cells in self.cells(k):
+            row = [0] * (math.prod(self.sizes) // self.sizes[k])
+            for n, combos in cells.items():
+                for t in bits(combos):
+                    row[t] = n
+            out.append(row)
+        return out
 
     def rows(self, player):
-        """The player's numerators as one list per own strategy, over the
-        opponent combos in canonical order."""
-        k = self.players.index(player)
-        nums = self.numerators[k]
-        return [[nums[n] for n in row] for row in self._own_major(k).tolist()]
-
-    def ranks(self, player):
-        """The player's payoffs as dense ranks, an array shaped like
-        rows(player): equal payoffs share a rank and a larger payoff has a
-        larger rank. The exact comparisons are those of one sort of the
-        distinct Python-int numerators; the ranks are below the number of
-        leaves, so no fixed-width wrap can reach them."""
-        k = self.players.index(player)
-        nums = self.numerators[k]
-        rank_of = {v: r for r, v in enumerate(sorted(set(nums)))}
-        ranks = np.array([rank_of[v] for v in nums], dtype=np.intp)
-        return ranks[self._own_major(k)]
+        """The player's numerators, shaped like positions(player)."""
+        nums = self.numerators[self.players.index(player)]
+        return [[nums[n] for n in row] for row in self.positions(player)]
 
     def plans(self, player):
         """The player's plans (reduced strategies): plans[s] is the lowest
         index of a strategy realization equivalent to strategy s, one whose
-        leaf against every opponent combo is the one s reaches."""
+        leaf against every opponent combo is the one s reaches: one that
+        reaches the same leaves, since their cells split the combos."""
         first = {}
-        rows = self._own_major(self.players.index(player))
-        return tuple(first.setdefault(row.tobytes(), s) for s, row in enumerate(rows))
+        return tuple(
+            first.setdefault(tuple(cells), s)
+            for s, cells in enumerate(self.cells(self.players.index(player)))
+        )
 
 
 def compatible_infosets(game, player, restriction):
@@ -505,17 +492,12 @@ def compatible_infosets(game, player, restriction):
     An infoset qualifies iff every restricted player has at least one listed
     strategy that allows the set to be reached.
     """
-    out = []
-    for isname in game.player_infosets[player]:
-        ok = True
-        for j, allowed in restriction.items():
-            allowed = set(allowed)
-            if not allowed.intersection(game.strategies_reaching(j, isname)):
-                ok = False
-                break
-        if ok:
-            out.append(isname)
-    return out
+    masks = {j: sum({1 << s.index for s in allowed}) for j, allowed in restriction.items()}
+    return [
+        h
+        for h in game.player_infosets[player]
+        if all(m & game.reach_mask(j, h) for j, m in masks.items())
+    ]
 
 
 class ProfileSet:
@@ -546,17 +528,20 @@ class ProfileSet:
         return any(not v for v in self.per_player.values())
 
     def profiles(self):
-        if self.is_empty():
-            return
-        for combo in product(*(self.per_player[p] for p in self.game.players)):
-            yield combo
+        yield from product(*(self.per_player[p] for p in self.game.players))
 
     def outcomes(self):
-        """Leaves induced by the product set, in first-reached order."""
+        """Leaves induced by the product set, in first-reached order: the
+        leaves whose masks meet every component, ordered by the first
+        profile reaching each (per player, its lowest strategy there)."""
         table = self.game.payoff_table()
-        idx = [[s.index for s in self.per_player[p]] for p in self.game.players]
-        reached = table.leaf_of[np.ix_(*idx)].ravel().tolist()
-        return [table.leaves[n] for n in dict.fromkeys(reached)]
+        parts = [sum(1 << s.index for s in self.per_player[p]) for p in self.game.players]
+        first = {}
+        for n, masks in enumerate(table.masks):
+            meet = [m & c for m, c in zip(masks, parts)]
+            if all(meet):
+                first[n] = [(m & -m).bit_length() for m in meet]
+        return [table.leaves[n] for n in sorted(first, key=first.get)]
 
     def __eq__(self, other):
         return (

@@ -171,6 +171,22 @@ def _block_tree_game(rng, nplayers, max_strategies):
     return _text(players, root, pooled)
 
 
+def centipede(n):
+    """A two-player centipede of n nodes, P1 moving at the even ones. At
+    node k the mover stops (s), which gives them k + 2 and the other k, or
+    continues (c); continuing at the last node pays as a stop at node n
+    would. Payoffs are generic, so the rationalizable outcome is the
+    backward-induction one, the stop at the root (Battigalli 1997)."""
+    def stop(k):
+        return "(%d,%d)" % ((k + 2, k) if k % 2 == 0 else (k, k + 2))
+
+    nodes = [_Node("n%d" % k, PLAYERS[k % 2]) for k in range(n)]
+    for k, node in enumerate(nodes):
+        node.kids.append(("s", stop(k)))
+        node.kids.append(("c", nodes[k + 1] if k + 1 < n else stop(n)))
+    return dsl.parse_game(_text(PLAYERS[:2], nodes[0], []))
+
+
 def random_point_restrictions(seed, game, base):
     """Point restrictions at infosets the base fixed point keeps reachable.
 

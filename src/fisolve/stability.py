@@ -118,8 +118,10 @@ class NormalForm:
     @classmethod
     def from_game(cls, game):
         table = game.payoff_table()
+        shape = [len(game.strategies(p)) for p in game.players]
+        leaf_of = np.array(table.positions(game.players[0]), dtype=np.intp).reshape(shape)
         tensors = {
-            p: np.array([float(leaf.payoffs[k]) for leaf in table.leaves])[table.leaf_of]
+            p: np.array([float(leaf.payoffs[k]) for leaf in table.leaves])[leaf_of]
             for k, p in enumerate(game.players)
         }
         return cls(game, tensors)

@@ -8,7 +8,7 @@ share one randomly generated corpus, built once and cached at module scope.
 import time
 from fractions import Fraction
 
-from fisolve import dsl, oracle, randgen, solvers, stability
+from fisolve import beliefs, dsl, oracle, randgen, solvers, stability
 
 from conftest import read
 
@@ -235,3 +235,23 @@ def test_11_stability_scenario(cleo):
     for description, _passed, detail in rows:
         assert isinstance(description, str) and isinstance(detail, str)
     _timed("11 stability scenario passes %d/%d checks" % (len(rows), len(rows)), 10.0, t0)
+
+
+def test_12_deep_centipede_stops_at_the_root():
+    """An 18-node generic centipede gives each player 512 strategies in 10
+    plans. Only the immediate stop survives, and the witness of every
+    surviving plan is a valid system under which it is a sequential best
+    reply (its members share that witness; see the plan property tests)."""
+    t0 = time.perf_counter()
+    game = randgen.centipede(18)
+    tr = solvers.rationalizability(game)
+    assert [(leaf.name, leaf.payoffs) for leaf in tr.outcomes] == [("s", (2, 0))]
+    for p in game.players:
+        plans = game.payoff_table().plans(p)
+        assert (len(plans), len(set(plans))) == (512, 10)
+        for s in tr.survivors.strategies(p):
+            if plans[s.index] == s.index:
+                cps = tr.witnesses[(p, s.name)]
+                assert beliefs.is_valid_cps(game, p, cps)
+                assert beliefs.sequential_best_reply(game, p, s, cps)
+    _timed("12 deep centipede keeps only the stop at the root", 2.0, t0)

@@ -569,3 +569,72 @@ def test_processes_run_every_step_with_scipy_blocked():
         "scenario code": 0,
         "scenario": False,
     }
+
+
+# Whether numpy is loaded after each step of a fresh process in which
+# importing numpy fails.
+NUMPY_BLOCKED = """
+import contextlib, io, json, sys
+
+sys.modules["numpy"] = None
+
+def numpy_loaded():
+    return any(
+        module is not None and name.split(".")[0] == "numpy"
+        for name, module in sys.modules.items()
+    )
+
+import fisolve
+
+steps = {"import fisolve": numpy_loaded()}
+from fisolve import cli, randgen, solvers
+with contextlib.redirect_stdout(io.StringIO()):
+    steps["selective code"] = cli.main([
+        "--game", %(bribe)r, "--procedure", "selective",
+        "--restrictions", %(delta)r, "--oracle-check", "2",
+        "--format", "structured",
+    ])
+    steps["cli selective"] = numpy_loaded()
+    steps["compare code"] = cli.main([
+        "--game", %(bribe)r, "--compare", "selective,strong-delta",
+        "--restrictions", %(delta)r, "--format", "structured",
+    ])
+    steps["cli compare"] = numpy_loaded()
+solvers.rationalizability(randgen.random_game(1))
+steps["random game"] = numpy_loaded()
+print(json.dumps(steps))
+""" % {"bribe": BRIBE, "delta": BRIBE_DELTA}
+
+
+def test_exact_runs_need_no_numpy():
+    """Importing fisolve, CLI selective (with the oracle replay) and compare
+    runs, and a random-game solve all succeed in a process where importing
+    numpy fails: only the equilibrium lab needs numpy. This needs a fresh
+    interpreter, since this process holds numpy already."""
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_BLOCKED], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == {
+        "import fisolve": False,
+        "selective code": 0,
+        "cli selective": False,
+        "compare code": 0,
+        "cli compare": False,
+        "random game": False,
+    }
+
+
+def test_lab_names_load_on_first_use():
+    """The package's lab names resolve to the lab module's own objects."""
+    import fisolve
+    from fisolve import stability
+
+    assert fisolve.MixedStrategy is stability.MixedStrategy
+    assert fisolve.run_scenario is stability.run_scenario
+    with pytest.raises(AttributeError):
+        fisolve.no_such_name

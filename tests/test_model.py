@@ -113,10 +113,10 @@ DECIMAL = "game d\nplayers A\ntree\n  node r owner A\n    x -> leaf (3.6)\n"
 
 
 def test_payoff_table_matches_the_tree_walk(bribe, cleo):
-    """The payoff table is read by the belief engine and the oracle alike,
-    so it is checked here against the independent walk `GameTree.payoff`
-    at every profile and for every player, together with the belief space
-    view, the float normal form, and the table's denominator."""
+    """The payoff table is read by the belief engine, the oracle and the lab
+    alike, so it is checked here against the independent walk `GameTree.payoff`
+    at every profile and for every player: its rows, its leaf positions, the
+    belief space view, the float normal form, and the table's denominator."""
     games = [bribe, cleo, dsl.parse_game(DECIMAL)]
     games += [randgen.random_game(k, max_strategies=6) for k in range(1, 21)]
     assert games[2].payoff_table().denominators == [5]
@@ -127,16 +127,17 @@ def test_payoff_table_matches_the_tree_walk(bribe, cleo):
         for k, p in enumerate(game.players):
             L = table.denominators[k]
             assert L == math.lcm(*(leaf.payoffs[k].denominator for leaf in game.leaves.values()))
-            for combo in profiles:
-                idx = tuple(s.index for s in combo)
-                exact = game.payoff(p, combo)
-                assert Fraction(table.numerators[k][table.leaf_of[idx]], L) == exact
-                assert tensors[p][idx] == float(exact)
+            rows, positions = table.rows(p), table.positions(p)
             sp = beliefs.space_for(game, p)
-            for s in game.strategies(p):
-                for t, opp in enumerate(sp.combos):
-                    prof = dict({q.player: q for q in opp}, **{p: s})
-                    assert Fraction(sp.numerators[s.index][t], L) == game.payoff(p, prof)
+            combo_index = {opp: t for t, opp in enumerate(sp.combos)}
+            for combo in profiles:
+                own = combo[k].index
+                t = combo_index[combo[:k] + combo[k + 1:]]
+                exact = game.payoff(p, combo)
+                assert Fraction(rows[own][t], L) == exact
+                assert Fraction(sp.numerators[own][t], L) == exact
+                assert table.leaves[positions[own][t]] == game.outcome(combo)
+                assert tensors[p][tuple(s.index for s in combo)] == float(exact)
 
 
 def test_profile_set_canonical_order(bribe):

@@ -265,6 +265,22 @@ def test_positive_affine_payoffs_change_no_decision(seed):
                 assert beliefs.sequential_best_reply(mapped, p, s, cps)
 
 
+def test_generic_centipedes_end_at_the_root():
+    """In a generic perfect-information game the rationalizable outcome is
+    the backward-induction one (Battigalli 1997): in a generic centipede,
+    the stop at the root, at every length."""
+    for n in range(3, 17):
+        game = randgen.centipede(n)
+        for k in range(2):
+            pays = [leaf.payoffs[k] for leaf in game.leaves.values()]
+            assert len(set(pays)) == len(pays)
+        # The last mover strictly prefers stopping to continuing.
+        stop, end = game.leaves["c/" * (n - 1) + "s"], game.leaves["/".join("c" * n)]
+        assert stop.payoffs[(n - 1) % 2] > end.payoffs[(n - 1) % 2]
+        trace = solvers.rationalizability(game)
+        assert [(leaf.name, leaf.payoffs) for leaf in trace.outcomes] == [("s", (2, 0))]
+
+
 @given(seed=st.integers(0, 10**6))
 @SLOTS
 def test_plans_are_decided_together(seed):
