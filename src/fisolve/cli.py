@@ -14,8 +14,9 @@ generalized only; with any other procedure it is a usage error.
 
 Exit codes: 0 solved or compared (an empty solution set is still a result),
 1 a stability scenario has failing checks, 2 unreadable or unparseable
-input, 3 the game or belief structure is rejected, 4 a procedure
-precondition fails, 5 the independent grid search contradicts the engine.
+input, or a stability scenario where numpy cannot be imported, 3 the game
+or belief structure is rejected, 4 a procedure precondition fails, 5 the
+independent grid search contradicts the engine.
 """
 
 import argparse
@@ -364,8 +365,13 @@ def _run_compare(args, game, delta, names):
 
 
 def _run_stability(args, game):
-    from . import stability  # the lab, and numpy with it, loads here only
-
+    try:
+        from . import stability  # the lab, and numpy with it, loads here only
+    except ImportError as exc:
+        if (exc.name or "").partition(".")[0] != "numpy":
+            raise
+        print("error: --stability-scenario needs numpy (%s)" % exc, file=sys.stderr)
+        return 2
     try:
         doc = stability.parse_scenario(_read(args.stability_scenario))
         rows = stability.run_scenario(game, doc)

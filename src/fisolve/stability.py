@@ -34,6 +34,7 @@ evaluated with a tiny arithmetic interpreter.
 
 import ast
 import collections
+import functools
 import itertools
 import json
 import math
@@ -71,25 +72,27 @@ class MixedStrategy:
         if player not in game.players:
             raise StabilityError("unknown player %r" % player)
         names = [s.name for s in game.strategies(player)]
-        vec = np.zeros(len(names))
+        index = {name: i for i, name in enumerate(names)}
+        vec = [0.0] * len(names)
         for name, w in weights.items():
-            if name not in names:
+            if name not in index:
                 raise StabilityError(
                     "%s has no strategy named %s" % (player, name)
                 )
-            vec[names.index(name)] = float(w)
-        if not np.isfinite(vec).all():
+            vec[index[name]] = float(w)
+        if not all(map(math.isfinite, vec)):
             raise StabilityError("a weight of %s is not a finite number" % player)
-        if vec.min() < -_WEIGHT_TOL:
+        if min(vec) < -_WEIGHT_TOL:
             raise StabilityError("negative weight for %s" % player)
-        if abs(vec.sum() - 1.0) > _WEIGHT_TOL:
+        total = sum(vec)
+        if abs(total - 1.0) > _WEIGHT_TOL:
             raise StabilityError(
-                "weights of %s sum to %r, not 1" % (player, vec.sum())
+                "weights of %s sum to %r, not 1" % (player, total)
             )
         self.game = game
         self.player = player
         self.names = names
-        self.vector = np.clip(vec, 0.0, None)
+        self.vector = np.array([w if w > 0.0 else 0.0 for w in vec])
 
     def weight(self, name):
         return float(self.vector[self.names.index(name)])
@@ -164,9 +167,11 @@ def expected_utility(game_or_nf, profile, player):
 def pure_values(game_or_nf, profile, player):
     """Utility of each of the player's pure strategies vs the others' mix."""
     nf = _as_nf(game_or_nf)
-    vecs = _vectors(nf, profile)
-    axis = nf.players.index(player)
-    operands = [nf.tensors[player], list(range(len(nf.players)))]
+    return _pure_values(nf, _vectors(nf, profile), nf.players.index(player))
+
+
+def _pure_values(nf, vecs, axis):
+    operands = [nf.tensors[nf.players[axis]], list(range(len(nf.players)))]
     for k, vec in enumerate(vecs):
         if k != axis:
             operands.extend([vec, [k]])
@@ -177,16 +182,13 @@ def pure_values(game_or_nf, profile, player):
 def is_nash(game_or_nf, profile, tol=1e-9):
     """True plus per-player regret when no pure deviation gains above tol."""
     nf = _as_nf(game_or_nf)
+    vecs = _vectors(nf, profile)
     regrets = {}
-    ok = True
-    for p in nf.players:
-        values = pure_values(nf, profile, p)
-        current = float(values @ _vectors(nf, profile)[nf.players.index(p)])
-        regret = max(0.0, float(values.max()) - current)
-        regrets[p] = regret
-        if regret > tol:
-            ok = False
-    return ok, regrets
+    for k, p in enumerate(nf.players):
+        values = _pure_values(nf, vecs, k)
+        current = float(values @ vecs[k])
+        regrets[p] = max(0.0, float(values.max()) - current)
+    return all(r <= tol for r in regrets.values()), regrets
 
 
 class PerturbationSpec:
@@ -205,7 +207,7 @@ class PerturbationSpec:
         self.delta0 = delta0
         self.epsilon = epsilon
         for p, mixed in sigma_tilde.items():
-            if np.min(mixed.vector) <= 0:
+            if min(mixed.vector.tolist()) <= 0:
                 raise StabilityError(
                     "tremble target of %s is not completely mixed" % p
                 )
@@ -238,24 +240,34 @@ def perturb_game(game_or_nf, spec):
 
 def _support_orders(n, target_vec, cap):
     """Supports of size <= cap, nearest to the target support first."""
-    tgt = frozenset(int(i) for i in np.nonzero(target_vec > 1e-12)[0])
-    subsets = []
-    for size in range(1, min(cap, n) + 1):
-        subsets.extend(itertools.combinations(range(n), size))
-    subsets.sort(key=lambda s: (len(tgt.symmetric_difference(s)), len(s), s))
-    return subsets
+    near = sum(1 << i for i, w in enumerate(target_vec) if w > 1e-12)
+    return _ordered_supports(n, cap, near)
+
+
+@functools.lru_cache(maxsize=1024)
+def _ordered_supports(n, cap, near):
+    """The supports of size <= cap over n strategies, ordered by the size of
+    their symmetric difference with the support whose bit mask is `near`,
+    then by size, then by index order."""
+    subsets = [
+        (sum(1 << i for i in s), s)
+        for size in range(1, min(cap, n) + 1)
+        for s in itertools.combinations(range(n), size)
+    ]
+    subsets.sort(key=lambda ms: ((ms[0] ^ near).bit_count(), len(ms[1]), ms[1]))
+    return tuple(s for _, s in subsets)
 
 
 def _box_vertices(target_vec, support, epsilon):
     """Vertices of the box polytope: mixes on `support` within epsilon of the
-    target in max norm, one full-length vector per row, no rows when it is
+    target in max norm, one full-length list per vertex, none when it is
     empty. A vertex has at most one coordinate strictly inside its bounds,
     so every choice of that coordinate and of lower or upper bounds for the
     others gives one candidate; a candidate is kept when the sum pins the
     free coordinate inside its bounds."""
     n = len(target_vec)
     if any(target_vec[i] > epsilon for i in range(n) if i not in support):
-        return np.zeros((0, n))
+        return []
     lo = [max(float(target_vec[i]) - epsilon, 0.0) for i in support]
     hi = [min(float(target_vec[i]) + epsilon, 1.0) for i in support]
     points = set()
@@ -265,8 +277,12 @@ def _box_vertices(target_vec, support, epsilon):
             x = 1.0 - sum(corner)
             if lo[free] - _VERTEX_SLACK <= x <= hi[free] + _VERTEX_SLACK:
                 points.add(corner[:free] + (x,) + corner[free:])
-    rows = np.zeros((len(points), n))
-    rows[:, list(support)] = np.asarray(sorted(points)).reshape(-1, len(support))
+    rows = []
+    for point in sorted(points):
+        row = [0.0] * n
+        for i, w in zip(support, point):
+            row[i] = w
+        rows.append(row)
     return rows
 
 
@@ -295,12 +311,27 @@ def _dominated(nf, k, vertices, margin):
     out = [k]
     for j, verts in enumerate(vertices):
         if j != k:
-            operands.extend([verts, [nplayers + j, j]])
+            operands.extend([np.asarray(verts), [nplayers + j, j]])
             out.append(nplayers + j)
     operands.append(out)
     values = np.einsum(*operands).reshape(nf.shape[k], -1)
     gain = (values[:, None, :] - values[None, :, :]).min(axis=2)
     return frozenset(int(i) for i in np.nonzero((gain > margin).any(axis=0))[0])
+
+
+def _entry_row(nf, k, supports):
+    """Player k's payoffs, by k's strategy, against the first strategy of
+    every other player's support, as Python floats."""
+    at = tuple(slice(None) if j == k else s[0] for j, s in enumerate(supports))
+    return nf.tensors[nf.players[k]][at].tolist()
+
+
+def _dominated_by_entries(row, margin):
+    """`_dominated` against opponents that are all pure. Each one's box is
+    their unit vector, so k's values there are the entry row itself, and
+    the best pure strategy gains max(row) - row[i] over strategy i."""
+    best = max(row)
+    return frozenset(i for i, v in enumerate(row) if best - v > margin)
 
 
 def find_equilibrium_near(game_or_nf, target, epsilon, budget=20000):
@@ -330,7 +361,21 @@ def find_equilibrium_near(game_or_nf, target, epsilon, budget=20000):
     profile, so the first hit is the one an unpruned search returns. None
     means that no combination of supports of size at most _SUPPORT_CAP
     gave a close equilibrium; larger supports are not searched. A root is
-    Nash when no player's regret exceeds _NASH_TOL."""
+    Nash when no player's regret exceeds _NASH_TOL.
+
+    Two shortcuts leave the answer and the number of root finds as they
+    are. A support that leaves out a strategy the target weighs above
+    epsilon has an empty box whatever the other players do, so it is
+    dropped from its player's list before the product is formed; the
+    other combinations keep their order, and the budget still counts the
+    full grid. Against opponents that are all pure, each box is one unit
+    vertex, and contracting with unit vertices multiplies one entry by 1.0
+    and adds zeros, which is exact: a player's values there are one row of
+    their tensor's entries (`_entry_row`). Rounding is monotone, so the
+    largest entry minus entry i exceeds the margin exactly when some
+    entry's difference does, and dominance compares entries alone. When
+    every support is pure, whether the start is a root is read off the
+    same entries (see `_solve_support`)."""
     return _search(game_or_nf, target, epsilon, budget)[0]
 
 
@@ -338,18 +383,21 @@ def _search(game_or_nf, target, epsilon, budget):
     """find_equilibrium_near's search; also returns how many support
     combinations reached the root finder."""
     nf = _as_nf(game_or_nf)
-    target_vecs = _vectors(nf, target)
+    targets = [v.tolist() for v in _vectors(nf, target)]
     orders = [
-        _support_orders(nf.shape[k], target_vecs[k], _SUPPORT_CAP)
-        for k in range(len(nf.players))
+        _support_orders(n, t, _SUPPORT_CAP) for n, t in zip(nf.shape, targets)
     ]
-    total = 1
-    for o in orders:
-        total *= len(o)
+    total = math.prod(len(o) for o in orders)
     if total > budget:
         raise SearchBudgetExceeded(
             "%d support combinations exceed the budget of %d" % (total, budget)
         )
+    # A support that leaves out a strategy the target weighs above epsilon
+    # has an empty box, so no combination holding it is enumerated.
+    heavy = [[i for i, w in enumerate(t) if w > epsilon] for t in targets]
+    orders = [
+        [s for s in o if all(i in s for i in h)] for o, h in zip(orders, heavy)
+    ]
 
     boxes = {}
     dominated = {}
@@ -359,27 +407,33 @@ def _search(game_or_nf, target, epsilon, budget):
         vertices = []
         for k, supp in enumerate(combo):
             if (k, supp) not in boxes:
-                boxes[k, supp] = _box_vertices(target_vecs[k], supp, epsilon)
+                boxes[k, supp] = _box_vertices(targets[k], supp, epsilon)
             vertices.append(boxes[k, supp])
-        if not all(len(v) for v in vertices):
+        if not all(vertices):
             continue
         refuted = False
         for k, supp in enumerate(combo):
-            key = (k, combo[:k] + combo[k + 1 :])
+            others = combo[:k] + combo[k + 1 :]
+            key = (k, others)
             if key not in dominated:
-                dominated[key] = _dominated(nf, k, vertices, margin)
+                if all(len(s) == 1 for s in others):
+                    row = _entry_row(nf, k, combo)
+                    dominated[key] = _dominated_by_entries(row, margin)
+                else:
+                    dominated[key] = _dominated(nf, k, vertices, margin)
             if dominated[key].intersection(supp):
                 refuted = True
                 break
         if refuted:
             continue
         root_finds += 1
-        found = _solve_support(nf, combo, target_vecs, _NASH_TOL)
+        found = _solve_support(nf, combo, targets, _NASH_TOL)
         if found is None:
             continue
         close = all(
-            float(np.max(np.abs(found[k] - target_vecs[k]))) <= epsilon
-            for k in range(len(nf.players))
+            abs(f - t) <= epsilon
+            for fk, tk in zip(found, targets)
+            for f, t in zip(fk, tk)
         )
         if not close:
             continue
@@ -552,38 +606,54 @@ def least_squares(fun, x0, jac):
     return _Fit(x, nfev)
 
 
+def _pure_root(nf, supports):
+    """Whether every support is pure and the pure profile solves the support
+    conditions exactly: no player's entry row has an entry above their own."""
+    if any(len(s) != 1 for s in supports):
+        return False
+    for k, supp in enumerate(supports):
+        row = _entry_row(nf, k, supports)
+        if max(row) > row[supp[0]]:
+            return False
+    return True
+
+
 def _solve_support(nf, supports, target_vecs, tol):
     """Root find the support conditions from the target's weights on the
-    supports, renormalised (uniform where the target puts no mass). A start
-    whose residual is exactly zero is the root, taken without calling
-    least_squares, which would return it unchanged."""
-    nplayers = len(nf.players)
-    residual, jacobian = _support_system(nf, supports)
+    supports, renormalised (uniform where the target puts no mass); returns
+    the players' full-length mixes as lists, or None. A start whose
+    residual is exactly zero is the root, taken without calling
+    least_squares, which would return it unchanged.
+
+    When every support is pure the start is the pure profile, at which
+    every value is a tensor entry times 1.0, so its residual is zero
+    exactly when no player's entry row has an entry above their own. That
+    is decided on the entries (`_pure_root`), without building the
+    system."""
     start = []
-    for k in range(nplayers):
-        w = target_vecs[k][list(supports[k])]
-        s = w.sum()
-        if s < 1e-9:
-            w = np.ones(len(w)) / len(w)
-        else:
-            w = w / s
-        start.extend(w)
-    x = np.asarray(start)
-    if np.any(residual(x)):
-        x = least_squares(residual, x, jacobian).x
-        if float(np.max(np.abs(residual(x)))) > _RESIDUAL_TOL:
-            return None
+    for t, supp in zip(target_vecs, supports):
+        w = [float(t[i]) for i in supp]
+        s = sum(w)
+        start.extend([1.0 / len(w)] * len(w) if s < 1e-9 else [v / s for v in w])
+    x = start
+    if not _pure_root(nf, supports):
+        residual, jacobian = _support_system(nf, supports)
+        x = np.asarray(start)
+        if np.any(residual(x)):
+            x = least_squares(residual, x, jacobian).x
+            if float(np.max(np.abs(residual(x)))) > _RESIDUAL_TOL:
+                return None
+        x = x.tolist()
     vecs = []
-    offset = 0
-    for k in range(nplayers):
-        v = np.zeros(nf.shape[k])
-        v[list(supports[k])] = x[offset : offset + len(supports[k])]
-        offset += len(supports[k])
-        vecs.append(v)
-    vecs = [np.clip(v, 0.0, None) for v in vecs]
-    vecs = [v / v.sum() for v in vecs]
-    profile = {p: vecs[k] for k, p in enumerate(nf.players)}
-    ok, _ = is_nash(nf, profile, tol)
+    at = 0
+    for n, supp in zip(nf.shape, supports):
+        v = [0.0] * n
+        for i in supp:
+            v[i] = x[at] if x[at] > 0.0 else 0.0
+            at += 1
+        total = sum(v)
+        vecs.append([w / total for w in v])
+    ok, _ = is_nash(nf, dict(zip(nf.players, vecs)), tol)
     if not ok:
         return None
     return vecs

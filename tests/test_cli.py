@@ -571,6 +571,28 @@ def test_processes_run_every_step_with_scipy_blocked():
     }
 
 
+def test_stability_scenario_without_numpy_exits_two():
+    """In a process where importing numpy fails, the stability scenario ends
+    with exit 2 and a one-line error naming numpy, not with a traceback and
+    the exit code of failing checks."""
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    script = (
+        'import sys; sys.modules["numpy"] = None; from fisolve import cli; '
+        "sys.exit(cli.main(%r))" % (["--game", CLEO, "--stability-scenario", SCENARIO],)
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: --stability-scenario needs numpy")
+    assert len(done.stderr.splitlines()) == 1
+    assert "Traceback" not in done.stderr
+
+
 # Whether numpy is loaded after each step of a fresh process in which
 # importing numpy fails.
 NUMPY_BLOCKED = """

@@ -302,6 +302,25 @@ def test_search_budget_guard(nf, sigma):
         find_equilibrium_near(nf, sigma, epsilon=1e-2, budget=1)
 
 
+def test_search_budget_counts_the_full_grid(nf, sigma):
+    """Supports that leave out a strategy the target weighs above epsilon
+    are dropped before enumeration, which leaves 3 * 3 * 7 of sigma's
+    14 ** 3 combinations, but the budget guard still counts all of them."""
+    orders = [
+        stability._support_orders(n, v, 3)
+        for n, v in zip(nf.shape, stability._vectors(nf, sigma))
+    ]
+    heavy = [
+        [s for s in o if all(i in s for i, w in enumerate(v) if w > 1e-2)]
+        for o, v in zip(orders, stability._vectors(nf, sigma))
+    ]
+    assert [len(o) for o in orders] == [14, 14, 14]
+    assert [len(o) for o in heavy] == [3, 3, 7]
+    with pytest.raises(SearchBudgetExceeded):
+        find_equilibrium_near(nf, sigma, epsilon=1e-2, budget=14**3 - 1)
+    assert find_equilibrium_near(nf, sigma, epsilon=1e-2, budget=14**3) is not None
+
+
 def test_scenario_rejects_unknown_check(cleo):
     doc = {"profiles": {}, "checks": [{"check": "subgame-perfect"}]}
     with pytest.raises(StabilityError):
@@ -411,14 +430,18 @@ def _close_root(nf, combo, vecs, epsilon):
     return None
 
 
-def _unpruned(nf, target, epsilon):
-    """The search before refutation: only the quick reject of target mass
-    above epsilon outside the support, then a root find per combination."""
+def _unpruned(nf, target, epsilon, refute=False):
+    """The search over the full product of supports, one combination at a
+    time: the quick reject of target mass above epsilon outside the
+    support, with `refute` also `_refuted`, then a root find. Returns the
+    first close root as a profile of weight dicts, or None, and how many
+    combinations reached the root finder."""
     vecs = stability._vectors(nf, target)
     orders = [
         stability._support_orders(nf.shape[k], vecs[k], 3)
         for k in range(len(nf.players))
     ]
+    root_finds = 0
     for combo in itertools.product(*orders):
         if any(
             max((vecs[k][i] for i in range(nf.shape[k]) if i not in supp), default=0.0)
@@ -426,14 +449,17 @@ def _unpruned(nf, target, epsilon):
             for k, supp in enumerate(combo)
         ):
             continue
+        if refute and _refuted(nf, combo, vecs, epsilon):
+            continue
+        root_finds += 1
         found = _close_root(nf, combo, vecs, epsilon)
         if found is not None:
             return {
                 p: {s.name: float(found[k][s.index])
                     for s in nf.game.strategies(p) if found[k][s.index] > 0}
                 for k, p in enumerate(nf.players)
-            }
-    return None
+            }, root_finds
+    return None, root_finds
 
 
 def _refuted(nf, combo, vecs, epsilon):
@@ -466,14 +492,19 @@ def test_gain_within_root_tolerance_is_not_refuted():
 @settings(max_examples=20, deadline=None)
 def test_refutation_is_sound(case):
     """The pruned search returns what the unpruned one returns, and up to
-    five sampled refuted combinations have no close root either."""
+    five sampled refuted combinations have no close root either. Refuting
+    one combination at a time over the full grid, with `_dominated` for
+    every player, gives the same profile after the same number of root
+    finds as the search, which drops empty-box supports before enumeration
+    and reads dominance against pure opponents off entry rows."""
     nf, target, epsilon, rng = case
-    found = find_equilibrium_near(nf, target, epsilon)
-    expected = _unpruned(nf, target, epsilon)
+    found, root_finds = stability._search(nf, target, epsilon, 20000)
+    expected, _ = _unpruned(nf, target, epsilon)
     if expected is None:
         assert found is None
     else:
         assert {p: m.as_dict() for p, m in found.items()} == expected
+    assert _unpruned(nf, target, epsilon, refute=True) == (expected, root_finds)
     vecs = stability._vectors(nf, target)
     orders = [
         stability._support_orders(nf.shape[k], vecs[k], 3)
@@ -575,6 +606,50 @@ def test_exact_start_makes_no_least_squares_call(monkeypatch):
     assert np.array_equal(sol.x, start)
     assert sol.nfev == 1
     assert jacobians == []
+
+
+def _solve_by_system(nf, supports, tol):
+    """_solve_support on pure supports by the general path: the support
+    system at the pure profile, least_squares when its residual is not 0,
+    then the clip, normalisation and Nash check, all in numpy."""
+    residual, jacobian = stability._support_system(nf, supports)
+    x = np.ones(len(supports))
+    if np.any(residual(x)):
+        x = stability.least_squares(residual, x, jacobian).x
+        if float(np.max(np.abs(residual(x)))) > stability._RESIDUAL_TOL:
+            return None
+    vecs = []
+    for n, supp, w in zip(nf.shape, supports, x):
+        v = np.zeros(n)
+        v[supp[0]] = w
+        v = np.clip(v, 0.0, None)
+        vecs.append(v / v.sum())
+    ok, _ = is_nash(nf, dict(zip(nf.players, vecs)), tol)
+    return [v.tolist() for v in vecs] if ok else None
+
+
+@given(nf=lab_games())
+@settings(max_examples=30, deadline=None)
+def test_pure_supports_read_as_tensor_entries(nf):
+    """On every combination of pure supports, the entry-row paths give what
+    the tensor paths give: the dominance set against pure opponents equals
+    `_dominated`'s contraction with their unit vertices, `_pure_root`
+    equals whether the support system's residual at the pure profile has a
+    nonzero entry, and `_solve_support` returns the same vectors."""
+    margin = stability._dominance_margin(nf)
+    uniform = [np.full(n, 1.0 / n) for n in nf.shape]
+    for combo in itertools.product(*[[(i,) for i in range(n)] for n in nf.shape]):
+        units = [np.eye(n)[list(s)] for n, s in zip(nf.shape, combo)]
+        for k in range(len(nf.players)):
+            row = stability._entry_row(nf, k, combo)
+            assert stability._dominated_by_entries(row, margin) == stability._dominated(
+                nf, k, units, margin
+            )
+        residual, _ = stability._support_system(nf, combo)
+        assert stability._pure_root(nf, combo) == (not np.any(residual(np.ones(len(combo)))))
+        assert stability._solve_support(nf, combo, uniform, 1e-9) == _solve_by_system(
+            nf, combo, 1e-9
+        )
 
 
 def test_least_squares_stops_within_its_budget():
